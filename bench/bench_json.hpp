@@ -16,9 +16,10 @@
 //     ]
 //   }
 //
-// Metric-direction convention (relied on by benchdiff): metric names ending
-// in "_per_sec" are higher-is-better; every other metric (bytes/allocs/
-// datagrams per message, latency percentiles) is lower-is-better.
+// Metric-direction convention (relied on by benchdiff): rates (names ending
+// in "_per_sec" or "_hz") and completed work ("delivered", "accepted") are
+// higher-is-better; every other metric (bytes/allocs/datagrams per message,
+// latency percentiles) is lower-is-better.
 #pragma once
 
 #include <cstdio>

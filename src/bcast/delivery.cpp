@@ -358,7 +358,7 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
       continue;
     }
     if (proposer_blocked) continue;  // FIFO: held behind a gap
-    if (s.proposal.fifo_floor > expected) {
+    if (!has_history || s.proposal.fifo_floor > expected) {
       // The proposer's own declaration: its current incarnation never
       // proposes below this floor (a restart jumped the sequence to the
       // durable reservation base). Sequences in [expected, floor) can
@@ -366,17 +366,15 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
       // with gap_grace == max_age it is worse than futile, because a
       // gapped proposal is held while fresh and skipped as stale the
       // moment the grace expires: without this jump a recovered proposer
-      // would be wedged forever.
-      expected = s.proposal.fifo_floor;
+      // would be wedged forever. A floor is known history even when it is
+      // 0: a proposer with no ordering history whose seq 0 is still in
+      // flight must not have its seq 1 ordered first.
+      expected = std::max(expected, s.proposal.fifo_floor);
       has_history = true;
     }
-    if (has_history && pid.seq > expected &&
-        sync_now - s.proposal.send_ts <= gap_grace) {
+    if (pid.seq > expected && sync_now - s.proposal.send_ts <= gap_grace) {
       // A lower sequence may still be in flight (or retransmitted);
-      // ordering this one now would break FIFO if it shows up. Only a gap
-      // relative to KNOWN history counts — a proposer's first-ever
-      // proposal starts the sequence wherever its clock-seeded counter
-      // happens to be.
+      // ordering this one now would break FIFO if it shows up.
       proposer_blocked = true;
       continue;
     }

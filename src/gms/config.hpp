@@ -29,8 +29,11 @@ struct NodeConfig {
   /// default to D/2 to leave the FD the transmission/scheduling/clock-skew
   /// margin the paper's 2D bound assumes (see DESIGN.md §3). 0 = D/2.
   sim::Duration decision_delay = 0;
-  /// A decider holding fresh proposals sends its decision after this
-  /// (short) batching delay instead of waiting out decision_delay.
+  /// A decider holding fresh proposals sends its decision at most this
+  /// (short) batching delay after the first one, instead of waiting out
+  /// decision_delay — a deadline, not a debounce: later proposals never
+  /// postpone it. Proposals already held when the role arrives count as
+  /// fresh from the moment it is assumed.
   sim::Duration proposal_batch_delay = sim::msec(2);
   /// Proposer-side batching: while a member, up to this many own proposals
   /// are coalesced into one proposal_batch datagram, amortizing the

@@ -6,6 +6,7 @@
 #include "gms/repair.hpp"
 #include "store/stable_store.hpp"
 #include "util/assert.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/logging.hpp"
 
 namespace tw::gms {
@@ -126,7 +127,6 @@ void TimewheelNode::full_reset() {
   last_decider_ = kNoProcess;
   i_am_decider_ = false;
   expected_decider_ = kNoProcess;
-  decision_pending_work_ = false;
   pending_proposals_.clear();
   batch_queue_.clear();
   last_control_sent_.clear();
@@ -832,14 +832,15 @@ void TimewheelNode::handle_exclusion(const bcast::Decision& d, ProcessId from,
 }
 
 void TimewheelNode::assume_decider_role(sim::ClockTime now) {
-  (void)now;
   if (i_am_decider_) return;
   i_am_decider_ = true;
   fd_.clear_expectation();
   cancel_timer(fd_timer_);
   ep_.trace(TraceKind::decider_assumed, gid_, last_decision_no_ + 1);
+  // Proposals that reached us while a predecessor held the role are just
+  // as fresh as ones arriving from now on: both get the batching deadline.
   const bool prompt =
-      decision_pending_work_ || !delivery_.missing().empty();
+      !orderable_proposals(now).empty() || !delivery_.missing().empty();
   schedule_decision(prompt ? cfg_.proposal_batch_delay
                            : cfg_.effective_decision_delay());
 }
@@ -847,17 +848,25 @@ void TimewheelNode::assume_decider_role(sim::ClockTime now) {
 void TimewheelNode::schedule_decision(sim::Duration delay) {
   const auto now = sync_now();
   if (!now) return;
-  arm_sync_timer(decision_timer_, *now + delay, [this] {
+  const sim::ClockTime due = *now + delay;
+  if (decision_timer_ != net::kNoTimer && decision_due_ <= due) return;
+  decision_due_ = due;
+  arm_sync_timer(decision_timer_, due, [this] {
     const auto t = sync_now();
     if (t) send_decision(*t);
   });
 }
 
+std::vector<const bcast::Proposal*> TimewheelNode::orderable_proposals(
+    sim::ClockTime now) const {
+  return delivery_.unordered_proposals(group_, now,
+                                       /*gap_grace=*/slots_.cycle_len(),
+                                       /*max_age=*/slots_.cycle_len());
+}
+
 void TimewheelNode::order_pending_proposals(bcast::Oal& oal,
                                             sim::ClockTime now) {
-  for (const bcast::Proposal* p : delivery_.unordered_proposals(
-           group_, now, /*gap_grace=*/slots_.cycle_len(),
-           /*max_age=*/slots_.cycle_len())) {
+  for (const bcast::Proposal* p : orderable_proposals(now)) {
     if (oal.contains(p->id)) continue;
     TW_DEBUG("p" << self() << " orders " << p->id.proposer << "."
                  << p->id.seq << " at " << oal.next_ordinal());
@@ -872,9 +881,8 @@ void TimewheelNode::order_pending_proposals(bcast::Oal& oal,
   }
 }
 
-std::vector<ProcessId> TimewheelNode::try_integrate_joiners(
-    sim::ClockTime now) {
-  std::vector<ProcessId> added;
+util::ProcessSet TimewheelNode::try_integrate_joiners(sim::ClockTime now) {
+  util::ProcessSet added;
   const util::ProcessSet alive = fd_.alive_list(now);
   for (ProcessId j : alive.minus(group_)) {
     // "Let the current member q be the successor of p in the next group g
@@ -892,14 +900,13 @@ std::vector<ProcessId> TimewheelNode::try_integrate_joiners(
         break;
       }
     }
-    if (seen_by_all) added.push_back(j);
+    if (seen_by_all) added.insert(j);
   }
   return added;
 }
 
 void TimewheelNode::send_decision(sim::ClockTime now) {
   if (!i_am_decider_ || !in_group()) return;
-  decision_pending_work_ = false;
   // A decider's own half-filled batch must reach the team no later than
   // the decision that orders it, or members would see oal entries for
   // proposals they hold no payload for and turn to retransmits.
@@ -908,13 +915,9 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   bcast::Oal oal = delivery_.view(now);
 
   // Integrate joiners (a membership descriptor plus a state transfer).
-  const std::vector<ProcessId> joiners = try_integrate_joiners(now);
-  util::ProcessSet joiner_set;
+  const util::ProcessSet joiners = try_integrate_joiners(now);
   if (!joiners.empty()) {
-    for (ProcessId j : joiners) {
-      group_.insert(j);
-      joiner_set.insert(j);
-    }
+    group_ = group_.union_with(joiners);
     gid_ = next_gid(now);
     oal.append_membership(gid_, group_, now);
     install_view(gid_, group_, now);
@@ -927,7 +930,11 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   oal.set_epoch(gid_);
   order_pending_proposals(oal, now);
   oal.purge_stable(group_, now, cfg_.deliver_delay, slots_.cycle_len());
+  emit_decision(std::move(oal), joiners, now);
+}
 
+void TimewheelNode::emit_decision(bcast::Oal oal, util::ProcessSet joiners,
+                                  sim::ClockTime now) {
   bcast::Decision d;
   d.gid = gid_;
   d.group = group_;
@@ -935,12 +942,23 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   d.decider = self();
   d.send_ts = std::max(now, round_.last_round() + 1);
   d.alive = fd_.alive_list(now);
-  d.joiners = joiner_set;
+  d.joiners = joiners;
   d.oal = std::move(oal);
 
   auto bytes = d.encode();
   last_control_sent_ = bytes;
   ep_.broadcast(std::move(bytes));
+  // Handoff copy: the successor is the one member whose failure detector
+  // reads a lost decision as a crashed decider, so one lost datagram would
+  // otherwise start an election. The round gate drops whichever of the two
+  // arrives second as a duplicate. Built in a pooled buffer so the copy
+  // costs no heap allocation once the pool is warm.
+  const ProcessId successor = group_.successor_of(self());
+  if (successor != self()) {
+    util::ByteWriter copy(util::BufferPool::local());
+    copy.raw(last_control_sent_);
+    ep_.send(successor, std::move(copy).take());
+  }
   ++decisions_sent_;
   ++stats_.decisions_sent;
   ep_.trace(TraceKind::decision_sent, gid_, d.decision_no);
@@ -953,14 +971,13 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
 
   // Relinquish the role; survey the successor.
   i_am_decider_ = false;
-  expected_decider_ = group_.successor_of(self());
+  expected_decider_ = successor;
   expect_next(expected_decider_, d.send_ts);
 
-  // State transfer to freshly integrated joiners (paper §4.2).
-  // State transfer to freshly integrated joiners — unless our own
-  // application state awaits a re-baseline (dirty or forked): a poisoned
-  // donation would propagate the losing branch into the joiner, whose
-  // solicitation retry walk reaches a clean member instead.
+  // State transfer to freshly integrated joiners (paper §4.2) — unless our
+  // own application state awaits a re-baseline (dirty or forked): a
+  // poisoned donation would propagate the losing branch into the joiner,
+  // whose solicitation retry walk reaches a clean member instead.
   if (!recovered_dirty_ && !awaiting_state_ && !lineage_forked_)
     for (ProcessId j : joiners) send_state_transfer(j, d.send_ts);
 }
@@ -1100,10 +1117,7 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
     else
       ep_.broadcast(bcast::encode_proposal(p));
     run_delivery(*now);
-    if (i_am_decider_) {
-      decision_pending_work_ = true;
-      schedule_decision(cfg_.proposal_batch_delay);
-    }
+    if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
   } else {
     pending_proposals_.push_back(std::move(p));
   }
@@ -1181,10 +1195,7 @@ void TimewheelNode::handle_proposal(ProcessId from, bcast::Proposal p) {
     return;  // relayed retransmission of something we hold
   delivery_.note_proposal(p, *now_opt);
   run_delivery(*now_opt);
-  if (i_am_decider_) {
-    decision_pending_work_ = true;
-    schedule_decision(cfg_.proposal_batch_delay);
-  }
+  if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
 }
 
 void TimewheelNode::handle_proposal_batch(ProcessId from,
@@ -1202,10 +1213,7 @@ void TimewheelNode::handle_proposal_batch(ProcessId from,
   // One delivery pass and (if decider) one decision schedule for the whole
   // batch — this is where the receive-side amortization happens.
   run_delivery(*now_opt);
-  if (i_am_decider_) {
-    decision_pending_work_ = true;
-    schedule_decision(cfg_.proposal_batch_delay);
-  }
+  if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
 }
 
 void TimewheelNode::handle_retransmit_request(ProcessId from,
@@ -1481,14 +1489,17 @@ GroupId TimewheelNode::next_gid(sim::ClockTime now) const {
 void TimewheelNode::create_group(util::ProcessSet members,
                                  util::ProcessSet departed,
                                  std::vector<bcast::ProposalId> extra_dpds,
-                                 const std::vector<ProcessId>& joiners,
+                                 util::ProcessSet joiners,
                                  sim::ClockTime now) {
   TW_ASSERT(members.contains(self()));
 
-  // Creating a group makes our merged knowledge the new baseline: the join
-  // knowledge rule only put us in charge because nobody fresher answered,
-  // so no state transfer is coming and holding deliveries would wedge us.
-  if (recovered_dirty_) {
+  // A sole survivor's merged knowledge is the new baseline: nobody else can
+  // supply one, and holding deliveries would wedge it. With supporters, a
+  // recovered creator stays dirty and re-baselines from one of them below:
+  // its durable application state may hold deliveries the group never saw
+  // (a decision it self-delivered that reached nobody before it crashed),
+  // and merged engine knowledge cannot show that.
+  if (recovered_dirty_ && members.size() < 2) {
     recovered_dirty_ = false;
     ++stats_.rehabilitations;
     if (auto* rec = ep_.obs())
@@ -1579,7 +1590,7 @@ void TimewheelNode::create_group(util::ProcessSet members,
     // that supplied it is by construction on the winning branch — ask it
     // for a baseline first.
     begin_rebaseline(adopt, now, freshest_donor);
-  } else if (lineage_forked_) {
+  } else if (lineage_forked_ || recovered_dirty_) {
     if (group_.size() < 2) {
       // Sole survivor: nobody can supply a cleaner baseline, so the
       // forked branch IS the history from here on.
@@ -1593,45 +1604,15 @@ void TimewheelNode::create_group(util::ProcessSet members,
       // before delivering (or donating) anything further. Note the merge
       // base being our own window does NOT make our app state clean: the
       // winning bindings were adopted into the engine at exclusion time,
-      // after the forked deliveries had already reached the app.
+      // after the forked deliveries had already reached the app. A
+      // recovered creator's app state is suspect in the same way.
       begin_rebaseline(adopt, now, freshest_donor);
     }
   }
 
   // Send the first decision of the new group.
   order_pending_proposals(repaired.oal, now);
-  bcast::Decision d;
-  d.gid = gid_;
-  d.group = group_;
-  d.decision_no = ++last_decision_no_;
-  d.decider = self();
-  d.send_ts = std::max(now, round_.last_round() + 1);
-  d.alive = fd_.alive_list(now);
-  for (ProcessId j : joiners) d.joiners.insert(j);
-  d.oal = std::move(repaired.oal);
-
-  auto bytes = d.encode();
-  last_control_sent_ = bytes;
-  ep_.broadcast(std::move(bytes));
-  ++decisions_sent_;
-  ++stats_.decisions_sent;
-  ep_.trace(TraceKind::decision_sent, gid_, d.decision_no);
-
-  round_.advance_round(d.send_ts);
-  last_decider_ = self();
-  delivery_.adopt_oal(d.oal);
-  run_delivery(now);
-
-  i_am_decider_ = false;
-  expected_decider_ = group_.successor_of(self());
-  expect_next(expected_decider_, d.send_ts);
-
-  // State transfer to freshly integrated joiners — unless our own
-  // application state awaits a re-baseline (dirty or forked): a poisoned
-  // donation would propagate the losing branch into the joiner, whose
-  // solicitation retry walk reaches a clean member instead.
-  if (!recovered_dirty_ && !awaiting_state_ && !lineage_forked_)
-    for (ProcessId j : joiners) send_state_transfer(j, d.send_ts);
+  emit_decision(std::move(repaired.oal), joiners, now);
 }
 
 // ---------------------------------------------------------------------------
@@ -1834,7 +1815,7 @@ void TimewheelNode::join_slot_duties(sim::ClockTime now, std::int64_t slot) {
   // last slot.
   if (my_list.is_majority_of(n_)) {
     bool all_confirm = true;
-    std::vector<ProcessId> stale_joiners;
+    util::ProcessSet stale_joiners;
     for (ProcessId q : my_list) {
       if (q == self()) continue;
       const auto& info = join_infos_[q];
@@ -1849,7 +1830,7 @@ void TimewheelNode::join_slot_duties(sim::ClockTime now, std::int64_t slot) {
         break;
       }
       if (info.last_decision_ts < round_.last_round())
-        stale_joiners.push_back(q);
+        stale_joiners.insert(q);
     }
     if (all_confirm) {
       create_group(my_list, {}, {}, stale_joiners, now);

@@ -246,18 +246,28 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] GroupId next_gid(sim::ClockTime now) const;
   void create_group(util::ProcessSet members, util::ProcessSet departed,
                     std::vector<bcast::ProposalId> extra_dpds,
-                    const std::vector<ProcessId>& joiners,
-                    sim::ClockTime now);
+                    util::ProcessSet joiners, sim::ClockTime now);
 
   // --- decider duties ---------------------------------------------------
   void assume_decider_role(sim::ClockTime now);
+  /// Arm the decision timer to fire `delay` from now — a deadline, not a
+  /// debounce: an armed decision is only ever moved earlier.
   void schedule_decision(sim::Duration delay);
   void send_decision(sim::ClockTime now);
+  /// The one decision emission path (rotation, joiner integration, group
+  /// creation): broadcast `oal` as our decision plus a handoff copy to the
+  /// successor, adopt it ourselves, pass the role on and send state
+  /// transfers to `joiners`.
+  void emit_decision(bcast::Oal oal, util::ProcessSet joiners,
+                     sim::ClockTime now);
+  /// Held proposals a decision made now would order (FIFO per sender).
+  [[nodiscard]] std::vector<const bcast::Proposal*> orderable_proposals(
+      sim::ClockTime now) const;
   /// Order pending proposals into the oal (FIFO per sender).
   void order_pending_proposals(bcast::Oal& oal, sim::ClockTime now);
   /// Integrate a joiner if this decider is its successor and everyone has
   /// seen it (paper §4.2). Returns the joiners added.
-  std::vector<ProcessId> try_integrate_joiners(sim::ClockTime now);
+  util::ProcessSet try_integrate_joiners(sim::ClockTime now);
 
   // --- membership install / delivery ----------------------------------
   void install_view(GroupId gid, util::ProcessSet members,
@@ -349,8 +359,9 @@ class TimewheelNode final : public net::Handler {
   bool i_am_decider_ = false;
   ProcessId expected_decider_ = kNoProcess;
   std::uint64_t decisions_sent_ = 0;
-  /// Pending proposals exist (send decision promptly).
-  bool decision_pending_work_ = false;
+  /// Synchronized time decision_timer_ is armed for (meaningless while the
+  /// timer is not armed).
+  sim::ClockTime decision_due_ = -1;
 
   // Own proposals.
   ProposalSeq next_seq_ = 0;

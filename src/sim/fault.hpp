@@ -106,6 +106,16 @@ class FaultScript {
     return *this;
   }
 
+  /// Drop the next `count` messages (every same-instant copy of each, see
+  /// DatagramNetwork::arm_drop_message) of `kind` from `from` towards `to`.
+  FaultScript& drop_message_at(SimTime t, ProcessId from, std::uint8_t kind,
+                               util::ProcessSet to, int count = 1) {
+    sim_.at(t, [this, from, kind, to, count] {
+      net_.arm_drop_message(from, kind, to, count);
+    });
+    return *this;
+  }
+
   /// Delay (past δ) instead of dropping.
   FaultScript& delay_at(SimTime t, ProcessId from, std::uint8_t kind,
                         util::ProcessSet to, int count, Duration extra) {

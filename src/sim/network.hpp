@@ -96,6 +96,13 @@ class DatagramNetwork {
   void arm_drop(ProcessId from, std::uint8_t kind, util::ProcessSet to,
                 int count);
 
+  /// Message-level drop: like arm_drop, but every copy of a dropped
+  /// datagram (identical bytes from the same sender in the same instant —
+  /// the rest of a broadcast, or a unicast copy sent alongside it) is
+  /// dropped too for the destinations in `to`, without consuming `count`.
+  void arm_drop_message(ProcessId from, std::uint8_t kind,
+                        util::ProcessSet to, int count);
+
   /// Make the next `count` matching datagrams late instead of dropped.
   void arm_delay(ProcessId from, std::uint8_t kind, util::ProcessSet to,
                  int count, Duration extra);
@@ -132,7 +139,13 @@ class DatagramNetwork {
                        ShedClassifier is_sheddable);
 
  private:
-  enum class RuleAction : std::uint8_t { drop, delay, duplicate, corrupt };
+  enum class RuleAction : std::uint8_t {
+    drop,
+    delay,
+    duplicate,
+    corrupt,
+    drop_message,
+  };
 
   struct Rule {
     ProcessId from;
@@ -141,6 +154,10 @@ class DatagramNetwork {
     int remaining;
     RuleAction action;
     Duration extra_delay;  ///< delay action: deliver at δ + extra
+    /// drop_message: the last datagram dropped and when, so its copies
+    /// are recognised.
+    Payload dropped = nullptr;
+    SimTime dropped_at = -1;
   };
 
   void transmit(ProcessId from, ProcessId to, const Payload& payload);
@@ -148,8 +165,11 @@ class DatagramNetwork {
   void schedule_delivery(ProcessId from, ProcessId to, Payload payload,
                          Duration delay, bool corrupt);
   [[nodiscard]] bool link_up(ProcessId from, ProcessId to) const;
-  /// Returns pointer to a matching armed rule, consuming one count.
-  Rule* match_rule(ProcessId from, ProcessId to, std::uint8_t kind);
+  /// Returns pointer to a matching armed rule, consuming one count (a copy
+  /// of a message a drop_message rule already dropped consumes none).
+  Rule* match_rule(ProcessId from, ProcessId to, const Payload& payload);
+  [[nodiscard]] bool copy_of_dropped(const Rule& r,
+                                     const Payload& payload) const;
 
   Simulator& sim_;
   ProcessService& procs_;

@@ -113,11 +113,13 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
   }
 
   if (drop_choice >= 0) {
-    // Decision omission: the next decision datagram from `sender` towards
-    // `deaf` is dropped. If the drop lands on the successor decider's
-    // inbound decision, the successor re-orders the still-unordered
-    // proposals at ordinals the lost decision already assigned — the
-    // within-epoch fork the delivery engine's occupancy guard repairs.
+    // Decision omission: the next decision from `sender` never reaches
+    // `deaf` — every copy of it, including the handoff copy a successor
+    // gets besides the broadcast. If the drop lands on the successor
+    // decider's inbound decision, the successor re-orders the
+    // still-unordered proposals at ordinals the lost decision already
+    // assigned — the within-epoch fork the delivery engine's occupancy
+    // guard repairs.
     const int others = window.n - 1;
     const auto sender =
         static_cast<ProcessId>(drop_choice / (others * positions));
@@ -126,7 +128,7 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
     if (deaf >= static_cast<int>(sender)) ++deaf;  // never drops to itself
     const Position pos = decode_position(window, rest % positions);
     FaultOp op;
-    op.type = FaultType::drop_rule;
+    op.type = FaultType::drop_message;
     op.at = bucket_start(window, pos) + bucket * kDropNum / kDropDen;
     op.p = sender;
     op.kind = net::kind_byte(net::MsgKind::decision);

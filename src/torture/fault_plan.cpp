@@ -53,6 +53,7 @@ const char* fault_type_name(FaultType t) {
     case FaultType::flap: return "flap";
     case FaultType::oneway: return "oneway";
     case FaultType::slow_receiver: return "slow_receiver";
+    case FaultType::drop_message: return "drop_message";
   }
   return "?";
 }
@@ -76,6 +77,7 @@ std::string FaultOp::to_string() const {
     case FaultType::clear_rules:
       break;
     case FaultType::drop_rule:
+    case FaultType::drop_message:
     case FaultType::duplicate_rule:
     case FaultType::corrupt_rule:
       os << " from p" << p << " kind=" << static_cast<int>(kind) << " to "
@@ -479,6 +481,9 @@ void apply_plan(const FaultPlan& plan, gms::SimHarness& harness) {
       case FaultType::drop_rule:
         faults.drop_at(op.at, op.p, op.kind, op.targets, op.count);
         break;
+      case FaultType::drop_message:
+        faults.drop_message_at(op.at, op.p, op.kind, op.targets, op.count);
+        break;
       case FaultType::delay_rule:
         faults.delay_at(op.at, op.p, op.kind, op.targets, op.count, op.dur);
         break;
@@ -630,7 +635,7 @@ bool plan_from_string(const std::string& text, FaultPlan& out) {
           op.model.reorder_prob >> op.model.corrupt_prob >> structural;
       if (ls.fail()) return false;
       bool found = false;
-      for (int ti = 0; ti <= static_cast<int>(FaultType::slow_receiver);
+      for (int ti = 0; ti <= static_cast<int>(FaultType::drop_message);
            ++ti) {
         if (type_name == fault_type_name(static_cast<FaultType>(ti))) {
           op.type = static_cast<FaultType>(ti);

@@ -53,6 +53,10 @@ enum class FaultType : std::uint8_t {
   /// a merely-slow member to the full safety bar AND (for pure
   /// slow-receiver plans) checks nobody falsely suspected it.
   slow_receiver,
+  /// Message-level drop: like drop_rule, but each dropped datagram takes
+  /// every same-instant copy of itself along (a decision's broadcast and
+  /// its handoff copy to the successor are one message).
+  drop_message,
 };
 
 [[nodiscard]] const char* fault_type_name(FaultType t);

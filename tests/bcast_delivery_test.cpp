@@ -270,6 +270,25 @@ TEST(Delivery, GapGivenUpAfterGrace) {
   EXPECT_EQ(ready[0]->id.seq, 7u);
 }
 
+TEST(Delivery, ZeroFifoFloorIsKnownHistory) {
+  // A proposer with no ordering history whose incarnation starts at seq 0
+  // (floor 0): its seq 1 must wait for seq 0 like any other gap, or seq 1
+  // is ordered first and seq 0 is forfeited on arrival.
+  Rig rig;
+  const sim::Duration grace = sim::msec(300);
+  rig.engine.note_proposal(
+      Rig::proposal(1, 1, Order::total, Atomicity::weak, /*ts=*/1000), 1000);
+  EXPECT_TRUE(rig.engine.unordered_proposals(kGroup, 1050, grace, sim::sec(100))
+                  .empty());
+  rig.engine.note_proposal(
+      Rig::proposal(1, 0, Order::total, Atomicity::weak, /*ts=*/1000), 1100);
+  const auto ready =
+      rig.engine.unordered_proposals(kGroup, 1100, grace, sim::sec(100));
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_EQ(ready[0]->id.seq, 0u);
+  EXPECT_EQ(ready[1]->id.seq, 1u);
+}
+
 TEST(Delivery, StragglerBelowOrderedSeqSkippedWhileYoung) {
   Rig rig;
   const sim::Duration grace = sim::msec(300);

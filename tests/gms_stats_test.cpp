@@ -95,9 +95,10 @@ TEST(NodeStats, WrongSuspicionCounted) {
   h.start();
   ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(5), sim::sec(10)));
   h.run_for(sim::sec(1));
-  // Drop one decision towards two members only: the rest hold it and at
-  // least one enters wrong-suspicion when the ring starts.
-  h.cluster().network().arm_drop(
+  // Drop one decision towards two members only (every copy, so the
+  // successor's handoff copy is lost too if it is one of them): the rest
+  // hold it and at least one enters wrong-suspicion when the ring starts.
+  h.cluster().network().arm_drop_message(
       h.node(0).believed_decider(),
       net::kind_byte(net::MsgKind::decision), util::ProcessSet({3, 4}), 1);
   h.run_for(sim::sec(4));

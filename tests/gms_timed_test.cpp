@@ -168,6 +168,111 @@ TEST(GmsTimed, StallBeyondSigmaIsPerformanceFailure) {
       << "recovered member not re-admitted";
 }
 
+// ---------------------------------------------------------------------------
+// Decision deadline and handoff (§2: "a decision message at most D after
+// assuming the role")
+// ---------------------------------------------------------------------------
+
+/// Step until some member newly takes the decider role (its decision not
+/// yet sent) and return it; kNoProcess if nobody does within a second.
+ProcessId step_to_role_handoff(SimHarness& h) {
+  const auto n = static_cast<ProcessId>(h.n());
+  std::vector<bool> had(n);
+  for (ProcessId p = 0; p < n; ++p) had[p] = h.node(p).has_decider_role();
+  for (int i = 0; i < 10000; ++i) {
+    h.run_for(sim::usec(100));
+    for (ProcessId p = 0; p < n; ++p) {
+      const bool has = h.node(p).has_decider_role();
+      if (has && !had[p]) return p;
+      had[p] = has;
+    }
+  }
+  return kNoProcess;
+}
+
+/// Step until `p`'s decision counter passes `before`; returns the time.
+sim::SimTime step_to_decision(SimHarness& h, ProcessId p,
+                              std::uint64_t before, sim::SimTime limit) {
+  while (h.now() < limit) {
+    h.run_for(sim::usec(100));
+    if (h.node(p).decisions_sent() > before) return h.now();
+  }
+  return sim::kNever;
+}
+
+// Sync-clock drift and the 100 µs stepping grain.
+constexpr sim::Duration kStepSlack = sim::usec(500);
+
+TEST(GmsTimed, DecisionDeadlineCountsFromFirstFreshProposal) {
+  // A steady stream of fresh proposals must not postpone the decision:
+  // the decider sends at most proposal_batch_delay after the first one.
+  SimHarness h(cfg_n(3, 21));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  const std::uint64_t before = h.node(d).decisions_sent();
+  const sim::SimTime first = h.now();
+  h.propose(d, 100);
+  for (int i = 1; i < 20; ++i)
+    h.cluster().simulator().at(first + i * sim::msec(1),
+                               [&h, d, i] { h.propose(d, 100 + i); });
+  const sim::SimTime sent =
+      step_to_decision(h, d, before, first + sim::msec(50));
+  ASSERT_NE(sent, sim::kNever);
+  EXPECT_LE(sent - first,
+            h.node(d).config().proposal_batch_delay + kStepSlack);
+}
+
+TEST(GmsTimed, SuccessorHoldingProposalsDecidesWithinBatchDelay) {
+  // A proposal the decider never received reaches its successor first.
+  // When the role arrives the successor already holds unordered work, so
+  // it decides within proposal_batch_delay, not after the idle D/2.
+  SimHarness h(cfg_n(3, 22));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  const ProcessId q = h.node(d).group().successor_of(d);
+  const ProcessId p = h.node(q).group().successor_of(q);
+  ASSERT_NE(p, d);
+  h.cluster().network().arm_drop(p, net::kind_byte(net::MsgKind::proposal),
+                                 util::ProcessSet{d}, 1);
+  h.propose(p, 7);
+  const std::uint64_t before = h.node(q).decisions_sent();
+  ASSERT_EQ(step_to_role_handoff(h), q);
+  const sim::SimTime assumed = h.now();
+  const sim::SimTime sent =
+      step_to_decision(h, q, before, assumed + sim::msec(50));
+  ASSERT_NE(sent, sim::kNever);
+  EXPECT_LE(sent - assumed,
+            h.node(q).config().proposal_batch_delay + kStepSlack);
+  h.run_for(sim::sec(1));
+  for (ProcessId m = 0; m < 3; ++m)
+    EXPECT_EQ(h.delivered(m).size(), 1u) << "p" << m;
+}
+
+TEST(GmsTimed, LostHandoffDatagramRaisesNoSuspicion) {
+  // One lost datagram must not start an election: the broadcast copy of a
+  // decision is lost towards the successor, and the handoff copy the
+  // decider sends it alongside still passes the role on.
+  SimHarness h(cfg_n(5, 23));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  const ProcessId q = h.node(d).group().successor_of(d);
+  h.cluster().network().arm_drop(d, net::kind_byte(net::MsgKind::decision),
+                                 util::ProcessSet{q}, 1);
+  h.run_for(sim::sec(2));
+  EXPECT_EQ(h.cluster().network().stats().total.dropped_rule, 1u);
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_EQ(h.node(p).stats().suspicions_raised, 0u) << "p" << p;
+    EXPECT_EQ(h.node(p).stats().no_decisions_sent, 0u) << "p" << p;
+  }
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
 TEST(GmsTimed, LateMessageStormDoesNotSplitTheGroup) {
   // Persistent performance failures (late messages beyond δ) degrade but
   // must never produce two concurrent groups.

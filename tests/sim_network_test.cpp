@@ -158,6 +158,21 @@ TEST(Network, DropRuleMatchesKindAndCount) {
   EXPECT_EQ(rig.net.stats().total.dropped_rule, 2u);
 }
 
+TEST(Network, DropMessageRuleTakesSameInstantCopies) {
+  Rig rig(3);
+  rig.net.arm_drop_message(0, 9, util::ProcessSet({1, 2}), 1);
+  rig.net.broadcast(0, Rig::msg(9, 1));  // dropped towards 1 and 2
+  rig.net.send(0, 1, Rig::msg(9, 1));    // same-instant copy: dropped
+  rig.net.send(0, 1, Rig::msg(9, 2));    // another message: delivered
+  rig.sim.run();
+  rig.net.send(0, 2, Rig::msg(9, 1));    // same bytes, later: delivered
+  rig.sim.run();
+  ASSERT_EQ(rig.rx[1].size(), 1u);
+  EXPECT_EQ(rig.rx[1][0].second[1], std::byte{2});
+  ASSERT_EQ(rig.rx[2].size(), 1u);
+  EXPECT_EQ(rig.net.stats().total.dropped_rule, 3u);
+}
+
 TEST(Network, DelayRuleMakesMessageLate) {
   DelayModel m;
   m.delta = 1000;

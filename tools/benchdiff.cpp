@@ -3,8 +3,9 @@
 //   benchdiff BASE.json NEW.json [--threshold PCT] [--ignore METRIC]...
 //
 // Runs are matched across the two files by their "name"; metrics present
-// in both are compared using the schema's direction convention: names
-// ending in "_per_sec" are higher-is-better, everything else (bytes/msg,
+// in both are compared using the schema's direction convention: rates
+// (names ending in "_per_sec" or "_hz") and completed work ("delivered",
+// "accepted") are higher-is-better, everything else (bytes/msg,
 // allocs/msg, latency percentiles, failure counts) is lower-is-better.
 // A metric that moves in the bad direction by more than the threshold
 // (default 5%) is a regression. `--ignore` excludes a metric by name —
@@ -190,11 +191,16 @@ bool load(const char* path, Report& out) {
 
 // --- comparison ----------------------------------------------------------
 
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Rates and counts of completed work are higher-is-better; everything
+/// else a report carries is a cost.
 bool higher_is_better(const std::string& metric) {
-  const std::string suffix = "_per_sec";
-  return metric.size() >= suffix.size() &&
-         metric.compare(metric.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
+  return ends_with(metric, "_per_sec") || ends_with(metric, "_hz") ||
+         metric == "delivered" || metric == "accepted";
 }
 
 }  // namespace
