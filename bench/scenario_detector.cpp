@@ -49,7 +49,7 @@ constexpr Regime kRegimes[] = {
 };
 
 /// Steady-state window before the crash: the adaptive policy needs
-/// fd_warmup hop samples per peer plus a tighten_streak of answered hops,
+/// `warmup` hop samples per peer plus a tighten_streak of answered hops,
 /// and hops close roughly once per slot, so 6 s is ~100 hops.
 constexpr sim::Duration kWarmWindow = sim::sec(6);
 

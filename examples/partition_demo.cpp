@@ -56,7 +56,7 @@ int main() {
   auto propose = [&](ProcessId via, std::uint64_t tag) {
     std::vector<std::byte> payload(8);
     std::memcpy(payload.data(), &tag, 8);
-    nodes[via]->propose(std::move(payload), bcast::Order::total);
+    nodes[via]->try_propose(std::move(payload), bcast::Order::total);
   };
 
   std::printf("\nsplitting the network %s | %s ...\n",

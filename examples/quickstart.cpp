@@ -56,7 +56,7 @@ int main() {
   auto propose = [&](ProcessId from, const char* text) {
     std::vector<std::byte> payload(std::strlen(text));
     std::memcpy(payload.data(), text, payload.size());
-    nodes[from]->propose(std::move(payload), bcast::Order::total);
+    nodes[from]->try_propose(std::move(payload), bcast::Order::total);
   };
   propose(0, "alpha");
   propose(3, "bravo");

@@ -129,10 +129,10 @@ int main() {
               replicas[0]->members().to_string().c_str());
 
   auto set = [&](ProcessId via, const std::string& k, const std::string& v) {
-    nodes[via]->propose(KvReplica::encode_set(k, v), bcast::Order::total);
+    nodes[via]->try_propose(KvReplica::encode_set(k, v), bcast::Order::total);
   };
   auto del = [&](ProcessId via, const std::string& k) {
-    nodes[via]->propose(KvReplica::encode_del(k), bcast::Order::total);
+    nodes[via]->try_propose(KvReplica::encode_del(k), bcast::Order::total);
   };
 
   std::printf("writing initial keys through different replicas...\n");

@@ -120,7 +120,7 @@ int run_single_member(ProcessId member, const std::string& dir, int team,
       cluster.post(member, [&node, text] {
         std::vector<std::byte> payload(text.size());
         std::memcpy(payload.data(), text.data(), text.size());
-        node.propose(std::move(payload), bcast::Order::total);
+        node.try_propose(std::move(payload), bcast::Order::total);
       });
     }
     if (tick % 8 == 0)
@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
     cluster.post(via, [&nodes, via, s] {
       std::vector<std::byte> payload(s.size());
       std::memcpy(payload.data(), s.data(), s.size());
-      nodes[via]->propose(std::move(payload), bcast::Order::total);
+      nodes[via]->try_propose(std::move(payload), bcast::Order::total);
     });
   };
   propose(0, "hello from member 0");

@@ -29,12 +29,6 @@ struct NodeConfig {
   /// default to D/2 to leave the FD the transmission/scheduling/clock-skew
   /// margin the paper's 2D bound assumes (see DESIGN.md §3). 0 = D/2.
   sim::Duration decision_delay = 0;
-  /// A decider holding fresh proposals sends its decision at most this
-  /// (short) batching delay after the first one, instead of waiting out
-  /// decision_delay — a deadline, not a debounce: later proposals never
-  /// postpone it. Proposals already held when the role arrives count as
-  /// fresh from the moment it is assumed.
-  sim::Duration proposal_batch_delay = sim::msec(2);
   /// Proposer-side batching: while a member, up to this many own proposals
   /// are coalesced into one proposal_batch datagram, amortizing the
   /// header/CRC/per-datagram cost under load. 1 = off (every proposal is
@@ -42,23 +36,12 @@ struct NodeConfig {
   /// acknowledges all of a batch's proposals collectively, so FIFO and
   /// fifo_floor semantics are unchanged.
   int max_batch = 1;
-  /// How long the first queued proposal may wait for its batch to fill
-  /// before being flushed anyway. Keep below proposal_batch_delay so a
-  /// decider's own batch reaches the team ahead of the decision that
-  /// orders it.
-  sim::Duration batch_flush_delay = sim::msec(1);
   /// Release delay Δ for time-ordered delivery: a time-ordered update is
   /// delivered at send_ts + deliver_delay on the synchronized clock.
   /// Should exceed δ + ε so every member has the update by release time.
   sim::Duration deliver_delay = sim::msec(60);
   /// Clock-synchronization service parameters.
   csync::Config clock;
-  /// Robustness extension beyond the paper (documented in DESIGN.md §3):
-  /// a process stuck in n-failure for this many cycles without a
-  /// completable election falls back to the join state, so the team can
-  /// re-form from scratch after catastrophic failures the paper's failure
-  /// assumption excludes. 0 disables the fallback.
-  int join_fallback_cycles = 6;
   /// How many state-transfer solicitations a joiner / re-baselining member
   /// sends (exponential backoff + jitter between them, walking the ring
   /// for a fresh donor each time) before giving up and flushing buffered
@@ -66,14 +49,6 @@ struct NodeConfig {
   int state_retry_limit = 6;
   /// Failure-detector surveillance-timeout policy (see DetectorKind).
   DetectorKind detector = DetectorKind::fixed;
-  /// Adaptive-policy gains (Jacobson-style): EWMA gain for the hop
-  /// estimate, EWMA gain for the mean deviation, deviation multiplier in
-  /// the safety margin, and how many per-peer samples to collect before
-  /// tightening below the 2D cap.
-  double fd_alpha = 0.125;
-  double fd_beta = 0.25;
-  double fd_margin_k = 4.0;
-  int fd_warmup = 8;
   /// Admission control: maximum own proposals in flight (queued while not
   /// a member + admitted-but-undelivered while a member). 0 = unbounded
   /// (the legacy behavior). When bounded, try_propose() REFUSES — never
@@ -82,13 +57,6 @@ struct NodeConfig {
   /// after admission would wedge every successor behind a hole. Refusal
   /// before a sequence number is assigned is invisible to the protocol.
   int max_pending = 0;
-  /// Occupancy watermarks of the overload state machine, as percentages of
-  /// max_pending. Crossing hi enters `backpressured`; reaching max_pending
-  /// enters `shedding` (try_propose refuses); draining to hi leaves
-  /// shedding; draining to lo returns to `normal`. The hi/lo gap is the
-  /// hysteresis band that stops the state from flapping at a boundary.
-  int overload_hi_pct = 75;
-  int overload_lo_pct = 50;
   /// Bound on deliveries buffered while awaiting a state-transfer baseline
   /// (recovered_dirty / re-baseline). Oldest-first shedding is safe HERE —
   /// unlike pending proposals — because the incoming baseline supersedes

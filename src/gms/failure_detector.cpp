@@ -63,16 +63,26 @@ sim::Duration AdaptiveDetectorPolicy::estimate(ProcessId peer) const {
   return p.samples == 0 ? -1 : static_cast<sim::Duration>(p.srtt);
 }
 
+namespace {
+/// The default policy. It keeps no state, so every detector shares it.
+FixedDetectorPolicy g_fixed_policy;
+}  // namespace
+
 FailureDetector::FailureDetector(ProcessId self, int team_size,
                                  sim::Duration slot_len)
-    : self_(self), n_(team_size), slot_len_(slot_len) {
+    : self_(self), n_(team_size), slot_len_(slot_len),
+      policy_(&g_fixed_policy) {
   peers_.resize(static_cast<std::size_t>(team_size));
+}
+
+void FailureDetector::set_policy(DetectorPolicy* policy) {
+  policy_ = policy != nullptr ? policy : &g_fixed_policy;
 }
 
 void FailureDetector::reset() {
   for (auto& p : peers_) p = PerPeer{};
   clear_expectation();
-  if (policy_ != nullptr) policy_->reset();
+  policy_->reset();
 }
 
 void FailureDetector::note_control(ProcessId from, sim::ClockTime send_ts,
@@ -85,7 +95,7 @@ void FailureDetector::note_control(ProcessId from, sim::ClockTime send_ts,
   // the estimator sees transit delay and lateness, not just the sender's
   // cadence. Later messages from the same sender are ring traffic, not
   // hops.
-  if (policy_ != nullptr && from == expected_ && send_ts > base_ts_ &&
+  if (from == expected_ && send_ts > base_ts_ &&
       p.last_send_ts <= base_ts_ && sync_now > base_ts_)
     policy_->observe(from, sync_now - base_ts_);
   if (send_ts > p.last_send_ts) p.last_send_ts = send_ts;
@@ -155,16 +165,11 @@ sim::Duration FailureDetector::surveillance_timeout(ProcessId sender,
                                                     sim::Duration floor,
                                                     sim::Duration cap) const {
   if (floor > cap) floor = cap;
-  if (policy_ == nullptr) return cap;
-  sim::Duration t = policy_->timeout(sender, floor, cap);
-  if (t < floor) t = floor;
-  if (t > cap) t = cap;
-  return t;
+  return std::clamp(policy_->timeout(sender, floor, cap), floor, cap);
 }
 
 void FailureDetector::note_expectation_timeout() {
-  if (policy_ != nullptr && expected_ != kNoProcess)
-    policy_->penalize(expected_);
+  if (expected_ != kNoProcess) policy_->penalize(expected_);
 }
 
 }  // namespace tw::gms

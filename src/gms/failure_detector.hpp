@@ -181,10 +181,11 @@ class FailureDetector {
   [[nodiscard]] sim::ClockTime last_ts_from(ProcessId q) const;
 
   /// Attach the surveillance-timeout policy (non-owning — the node owns
-  /// it). nullptr behaves like FixedDetectorPolicy. Hop observations are
-  /// fed from note_control: the first message that satisfies the current
-  /// expectation contributes send_ts - base_ts as one ring-hop sample.
-  void set_policy(DetectorPolicy* policy) { policy_ = policy; }
+  /// it). nullptr restores the default FixedDetectorPolicy. Hop
+  /// observations are fed from note_control: the first message that
+  /// satisfies the current expectation contributes send_ts - base_ts as one
+  /// ring-hop sample.
+  void set_policy(DetectorPolicy* policy);
   /// Timeout for the next expectation on `sender` under the attached
   /// policy, clamped to [floor, cap] regardless of what the policy says.
   [[nodiscard]] sim::Duration surveillance_timeout(ProcessId sender,
@@ -210,7 +211,7 @@ class FailureDetector {
   ProcessId expected_ = kNoProcess;
   sim::ClockTime base_ts_ = -1;
   sim::ClockTime deadline_ = -1;
-  DetectorPolicy* policy_ = nullptr;
+  DetectorPolicy* policy_;
 };
 
 }  // namespace tw::gms

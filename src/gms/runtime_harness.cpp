@@ -1,7 +1,5 @@
 #include "gms/runtime_harness.hpp"
 
-#include <map>
-
 #include "util/assert.hpp"
 #include "util/bytes.hpp"
 
@@ -124,40 +122,13 @@ std::optional<net::GroupTag> RuntimeHarness::propose_key(
 
 std::vector<std::string> RuntimeHarness::check_group(
     net::GroupTag tag) const {
-  std::vector<std::string> errors;
-  const std::string gname = "g" + std::to_string(tag) + "/";
-  std::map<Ordinal, bcast::ProposalId> by_ordinal;
+  DeliverySafety check("g" + std::to_string(tag) + "/");
   for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
-    std::map<bcast::ProposalId, int> times;
-    std::map<ProcessId, ProposalSeq> last_total_seq;
-    for (const auto& rec : delivered_.at(p).at(tag)) {
-      if (++times[rec.pid] > 1)
-        errors.push_back(gname + "p" + std::to_string(p) +
-                         " delivered proposal " +
-                         std::to_string(rec.pid.proposer) + "." +
-                         std::to_string(rec.pid.seq) + " twice");
-      if (rec.ordinal != kNoOrdinal) {
-        const auto [it, inserted] =
-            by_ordinal.try_emplace(rec.ordinal, rec.pid);
-        if (!inserted && !(it->second == rec.pid))
-          errors.push_back(gname + "ordinal " + std::to_string(rec.ordinal) +
-                           " bound to two proposals (seen at p" +
-                           std::to_string(p) + ")");
-      }
-      if (rec.order == bcast::Order::total) {
-        auto [it, inserted] =
-            last_total_seq.try_emplace(rec.pid.proposer, rec.pid.seq);
-        if (!inserted) {
-          if (rec.pid.seq <= it->second)
-            errors.push_back(gname + "p" + std::to_string(p) +
-                             ": FIFO violation for proposer " +
-                             std::to_string(rec.pid.proposer));
-          it->second = rec.pid.seq;
-        }
-      }
-    }
+    check.member(p);
+    for (const auto& rec : delivered_.at(p).at(tag))
+      check.record(rec.pid, rec.ordinal, rec.order);
   }
-  return errors;
+  return check.errors();
 }
 
 std::vector<std::string> RuntimeHarness::check_all_groups() const {

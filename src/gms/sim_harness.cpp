@@ -180,9 +180,7 @@ util::ProcessSet SimHarness::run_until_any_stable_group(
 
 void SimHarness::propose(ProcessId p, std::uint64_t tag, bcast::Order order,
                          bcast::Atomicity atomicity) {
-  util::ByteWriter w;
-  w.u64(tag);
-  nodes_.at(p)->propose(std::move(w).take(), order, atomicity);
+  (void)try_propose(p, tag, order, atomicity);
 }
 
 ProposeResult SimHarness::try_propose(ProcessId p, std::uint64_t tag,
@@ -260,43 +258,45 @@ std::vector<std::string> SimHarness::check_majority() const {
   return errors;
 }
 
-std::vector<std::string> SimHarness::check_delivery_safety() const {
-  std::vector<std::string> errors;
-  // Same ordinal → same proposal everywhere.
-  std::map<Ordinal, bcast::ProposalId> by_ordinal;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
-    std::map<bcast::ProposalId, int> times;
-    std::map<ProcessId, ProposalSeq> last_total_seq;
-    for (const auto& rec : delivered_[p]) {
-      if (++times[rec.pid] > 1) {
-        errors.push_back("p" + std::to_string(p) + " delivered proposal " +
-                         std::to_string(rec.pid.proposer) + "." +
-                         std::to_string(rec.pid.seq) + " twice");
-      }
-      if (rec.ordinal != kNoOrdinal) {
-        const auto [it, inserted] = by_ordinal.try_emplace(rec.ordinal,
-                                                           rec.pid);
-        if (!inserted && !(it->second == rec.pid)) {
-          errors.push_back(
-              "ordinal " + std::to_string(rec.ordinal) +
-              " bound to two proposals (" + std::to_string(p) + ")");
-        }
-      }
-      if (rec.order == bcast::Order::total) {
-        auto [it, inserted] =
-            last_total_seq.try_emplace(rec.pid.proposer, rec.pid.seq);
-        if (!inserted) {
-          if (rec.pid.seq <= it->second) {
-            errors.push_back("p" + std::to_string(p) +
-                             ": FIFO violation for proposer " +
-                             std::to_string(rec.pid.proposer));
-          }
-          it->second = rec.pid.seq;
-        }
-      }
-    }
+void DeliverySafety::member(ProcessId p) {
+  p_ = p;
+  times_.clear();
+  last_total_seq_.clear();
+}
+
+void DeliverySafety::record(const bcast::ProposalId& pid, Ordinal ordinal,
+                            bcast::Order order) {
+  auto who = [this] { return prefix_ + "p" + std::to_string(p_); };
+  auto name = [](const bcast::ProposalId& id) {
+    return std::to_string(id.proposer) + "." + std::to_string(id.seq);
+  };
+  if (++times_[pid] > 1)
+    errors_.push_back(who() + " delivered " + name(pid) + " twice");
+  if (ordinal != kNoOrdinal) {
+    const auto [it, inserted] = by_ordinal_.try_emplace(ordinal, pid);
+    if (!inserted && !(it->second == pid))
+      errors_.push_back(prefix_ + "ordinal conflict at " +
+                        std::to_string(ordinal) + " (" + who() +
+                        " delivered " + name(pid) + ", another member has " +
+                        name(it->second) + ")");
   }
-  return errors;
+  if (order != bcast::Order::total) return;
+  const auto [it, inserted] =
+      last_total_seq_.try_emplace(pid.proposer, pid.seq);
+  if (!inserted && pid.seq <= it->second)
+    errors_.push_back(who() + " FIFO violation: " + name(pid) +
+                      " after seq " + std::to_string(it->second));
+  it->second = pid.seq;
+}
+
+std::vector<std::string> SimHarness::check_delivery_safety() const {
+  DeliverySafety check;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
+    check.member(p);
+    for (const auto& rec : delivered_[p])
+      check.record(rec.pid, rec.ordinal, rec.order);
+  }
+  return check.errors();
 }
 
 std::pair<std::uint64_t, std::uint64_t> SimHarness::app_state(
@@ -310,47 +310,12 @@ std::pair<std::uint64_t, std::uint64_t> SimHarness::app_state(
 
 std::vector<std::string> SimHarness::check_lineage_agreement(
     util::ProcessSet members) const {
-  std::vector<std::string> errors;
-  std::map<Ordinal, bcast::ProposalId> by_ordinal;
+  DeliverySafety check("lineage ");
   for (ProcessId p : members) {
-    std::map<bcast::ProposalId, int> times;
-    std::map<ProcessId, ProposalSeq> last_total_seq;
-    for (const auto& e : lineage_.at(p)) {
-      if (++times[e.pid] > 1)
-        errors.push_back("p" + std::to_string(p) + " lineage contains " +
-                         std::to_string(e.pid.proposer) + "." +
-                         std::to_string(e.pid.seq) + " twice (ordinal " +
-                         std::to_string(e.ordinal) + ", order " +
-                         std::to_string(static_cast<int>(e.order)) + ")");
-      if (e.ordinal != kNoOrdinal) {
-        const auto [it, inserted] = by_ordinal.try_emplace(e.ordinal, e.pid);
-        if (!inserted && !(it->second == e.pid))
-          errors.push_back(
-              "lineage ordinal conflict at " + std::to_string(e.ordinal) +
-              " (p" + std::to_string(p) + " delivered " +
-              std::to_string(e.pid.proposer) + "." +
-              std::to_string(e.pid.seq) + ", another lineage has " +
-              std::to_string(it->second.proposer) + "." +
-              std::to_string(it->second.seq) + ")");
-      }
-      if (e.order == bcast::Order::total) {
-        auto [it, inserted] =
-            last_total_seq.try_emplace(e.pid.proposer, e.pid.seq);
-        if (!inserted) {
-          if (e.pid.seq <= it->second)
-            errors.push_back(
-                "p" + std::to_string(p) +
-                " lineage FIFO violation for proposer " +
-                std::to_string(e.pid.proposer) + ": seq " +
-                std::to_string(e.pid.seq) + " (ordinal " +
-                std::to_string(e.ordinal) + ") after seq " +
-                std::to_string(it->second));
-          it->second = e.pid.seq;
-        }
-      }
-    }
+    check.member(p);
+    for (const auto& e : lineage_.at(p)) check.record(e.pid, e.ordinal, e.order);
   }
-  return errors;
+  return check.errors();
 }
 
 std::vector<std::string> SimHarness::check_all_invariants() const {

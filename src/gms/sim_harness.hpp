@@ -4,6 +4,7 @@
 // benchmark scenario.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +58,31 @@ struct LineageEntry {
   bcast::ProposalId pid;
   Ordinal ordinal = kNoOrdinal;
   bcast::Order order = bcast::Order::unordered;
+};
+
+/// The delivery-safety checks every harness checker runs over (pid,
+/// ordinal, order) records, fed one member at a time: one proposal per
+/// ordinal across all members, no proposal twice within a member, and FIFO
+/// per proposer among a member's total-ordered deliveries. Every message
+/// starts with `prefix` (an ordinal conflict reads "<prefix>ordinal
+/// conflict at <ordinal> ...").
+class DeliverySafety {
+ public:
+  explicit DeliverySafety(std::string prefix = {})
+      : prefix_(std::move(prefix)) {}
+  /// Start member p's records.
+  void member(ProcessId p);
+  void record(const bcast::ProposalId& pid, Ordinal ordinal,
+              bcast::Order order);
+  [[nodiscard]] std::vector<std::string> errors() const { return errors_; }
+
+ private:
+  std::string prefix_;
+  ProcessId p_ = kNoProcess;
+  std::map<Ordinal, bcast::ProposalId> by_ordinal_;
+  std::map<bcast::ProposalId, int> times_;
+  std::map<ProcessId, ProposalSeq> last_total_seq_;
+  std::vector<std::string> errors_;
 };
 
 class SimHarness {

@@ -13,6 +13,27 @@ namespace tw::gms {
 
 using sim::TraceKind;
 
+namespace {
+
+/// How long the first queued own proposal may wait for its batch to fill
+/// before it is flushed anyway. Below kProposalBatchDelay, so a decider's
+/// own batch reaches the team ahead of the decision that orders it.
+constexpr sim::Duration kBatchFlushDelay = sim::msec(1);
+/// Robustness extension beyond the paper (DESIGN.md §3): a process stuck
+/// this many cycles in an election that cannot complete falls back to the
+/// join state, so the team can re-form after catastrophic failures the
+/// paper's failure assumption excludes.
+constexpr int kJoinFallbackCycles = 6;
+/// Overload watermarks in percent of max_pending. Crossing hi enters
+/// `backpressured`; reaching max_pending enters `shedding` (try_propose
+/// refuses); draining below hi leaves shedding; draining to lo returns to
+/// `normal`. The hi/lo gap is the hysteresis band that stops the state
+/// from flapping at a boundary.
+constexpr std::size_t kOverloadHiPct = 75;
+constexpr std::size_t kOverloadLoPct = 50;
+
+}  // namespace
+
 TimewheelNode::TimewheelNode(net::Endpoint& endpoint, NodeConfig cfg,
                              AppCallbacks app, store::StableStore* store)
     : ep_(endpoint),
@@ -31,8 +52,7 @@ TimewheelNode::TimewheelNode(net::Endpoint& endpoint, NodeConfig cfg,
   TW_ASSERT_MSG(n_ >= 2 && n_ <= 64, "team size must be in [2, 64]");
   if (cfg_.detector == DetectorKind::adaptive) {
     detector_policy_ = std::make_unique<AdaptiveDetectorPolicy>(
-        n_, AdaptiveDetectorPolicy::Params{cfg_.fd_alpha, cfg_.fd_beta,
-                                           cfg_.fd_margin_k, cfg_.fd_warmup});
+        n_, AdaptiveDetectorPolicy::Params{});
     fd_.set_policy(detector_policy_.get());
   }
   if (!cfg_.occupancy_guard) delivery_.set_occupancy_guard(false);
@@ -124,7 +144,6 @@ void TimewheelNode::full_reset() {
   suspect_ = kNoProcess;
   round_.reset();
   last_decision_no_ = 0;
-  last_decider_ = kNoProcess;
   i_am_decider_ = false;
   expected_decider_ = kNoProcess;
   pending_proposals_.clear();
@@ -239,18 +258,31 @@ void TimewheelNode::set_state(GcState next) {
     suspect_resends_ = 0;
     last_suspect_resend_ = -1;
   }
-  trace_state_change(state_, next);
+  ep_.trace(TraceKind::state_changed, static_cast<std::uint64_t>(next),
+            static_cast<std::uint64_t>(state_), {},
+            std::string(gc_state_name(state_)) + "->" + gc_state_name(next));
+  if (auto* rec = ep_.obs())
+    rec->emit(obs::EvKind::fsm_transition, 0, static_cast<std::uint64_t>(next),
+              static_cast<std::uint64_t>(state_));
   state_ = next;
 }
 
-void TimewheelNode::trace_state_change(GcState from, GcState to) {
-  ep_.trace(TraceKind::state_changed, static_cast<std::uint64_t>(to),
-            static_cast<std::uint64_t>(from), {},
-            std::string(gc_state_name(from)) + "->" + gc_state_name(to));
-  if (auto* rec = ep_.obs())
-    rec->emit(obs::EvKind::fsm_transition, 0,
-              static_cast<std::uint64_t>(to),
-              static_cast<std::uint64_t>(from));
+bool TimewheelNode::in_single_failure() const {
+  return state_ == GcState::wrong_suspicion ||
+         state_ == GcState::one_failure_receive ||
+         state_ == GcState::one_failure_send;
+}
+
+void TimewheelNode::enter_join() {
+  set_state(GcState::join);
+  for (auto& j : join_infos_) j = JoinInfo{};
+}
+
+void TimewheelNode::stand_down() {
+  i_am_decider_ = false;
+  cancel_timer(decision_timer_);
+  fd_.clear_expectation();
+  cancel_timer(fd_timer_);
 }
 
 void TimewheelNode::on_clock_sync_change(bool synchronized) {
@@ -259,17 +291,13 @@ void TimewheelNode::on_clock_sync_change(bool synchronized) {
     // Fail-awareness: we KNOW our group knowledge may be out of date; stop
     // participating until the clock is synchronized again.
     set_state(GcState::desync);
-    i_am_decider_ = false;
-    cancel_timer(fd_timer_);
-    cancel_timer(decision_timer_);
-    fd_.clear_expectation();
+    stand_down();
   } else if (state_ == GcState::desync) {
     // "When p can synchronize its clock again, p applies to join the group
     // again" (paper §2).
-    set_state(GcState::join);
+    enter_join();
     installed_ = false;
     suspect_ = kNoProcess;
-    for (auto& j : join_infos_) j = JoinInfo{};
     arm_slot_timer();
   }
 }
@@ -410,29 +438,19 @@ void TimewheelNode::on_housekeeping() {
   // re-form once enough processes are back. The watchdog covers every
   // non-stable state, not just n-failure — a wedged wrong-suspicion or
   // 1-failure state is just as dead.
-  const bool unstable = state_ == GcState::wrong_suspicion ||
-                        state_ == GcState::one_failure_receive ||
-                        state_ == GcState::one_failure_send ||
-                        state_ == GcState::n_failure;
-  if (!unstable) {
+  if (!in_single_failure() && state_ != GcState::n_failure) {
     n_failure_since_ = -1;
   } else {
     if (n_failure_since_ < 0) n_failure_since_ = *now;
-    if (cfg_.join_fallback_cycles > 0 &&
-        *now - n_failure_since_ >
-            cfg_.join_fallback_cycles * slots_.cycle_len()) {
+    if (*now - n_failure_since_ > kJoinFallbackCycles * slots_.cycle_len()) {
       TW_INFO("p" << self()
                   << ": election stalled; falling back to join state");
-      set_state(GcState::join);
+      enter_join();
       installed_ = false;
       awaiting_exit_decisions_ = false;
-      i_am_decider_ = false;
       suspect_ = kNoProcess;
-      fd_.clear_expectation();
-      cancel_timer(fd_timer_);
-      cancel_timer(decision_timer_);
+      stand_down();
       n_failure_since_ = -1;
-      for (auto& j : join_infos_) j = JoinInfo{};
     }
   }
 }
@@ -456,11 +474,13 @@ void TimewheelNode::on_datagram(ProcessId from,
       case net::MsgKind::decision:
         handle_decision(from, bcast::Decision::decode(r));
         break;
-      case net::MsgKind::proposal:
-        handle_proposal(from, bcast::decode_proposal(r));
+      case net::MsgKind::proposal: {
+        const bcast::Proposal p = bcast::decode_proposal(r);
+        handle_proposals(from, {&p, 1});
         break;
+      }
       case net::MsgKind::proposal_batch:
-        handle_proposal_batch(from, bcast::decode_proposal_batch(r));
+        handle_proposals(from, bcast::decode_proposal_batch(r));
         break;
       case net::MsgKind::no_decision:
         handle_no_decision(from, NoDecision::decode(r));
@@ -524,10 +544,7 @@ void TimewheelNode::expect_next(ProcessId sender, sim::ClockTime base_ts) {
     fd_.expect(self(), base_ts, base_ts + cfg_.fd_timeout());
     arm_sync_timer(fd_timer_, base_ts + cfg_.fd_timeout(), [this] {
       const auto t = sync_now();
-      if (t && (state_ == GcState::wrong_suspicion ||
-                state_ == GcState::one_failure_receive ||
-                state_ == GcState::one_failure_send))
-        enter_n_failure(*t);
+      if (t && in_single_failure()) enter_n_failure(*t);
     });
     return;
   }
@@ -568,51 +585,29 @@ void TimewheelNode::on_fd_timeout() {
   ep_.trace(TraceKind::suspicion, e);
   if (auto* rec = ep_.obs()) rec->emit(obs::EvKind::suspect, 0, e);
 
-  switch (state_) {
-    case GcState::failure_free: {
-      // Single failure suspected: the successor of the suspect opens the
-      // no-decision ring; everyone else waits for it (§4.2).
-      suspect_ = e;
-      if (self() == group_.successor_of(e)) {
-        send_no_decision(now);
-        if (self() == group_.predecessor_of(e)) {
-          // Two-member group: the ND ring is just us, so the election
-          // closes immediately (the ND still gives a live suspect the
-          // chance to resend its last control message).
-          close_single_failure_election(now);
-          break;
-        }
-        set_state(GcState::one_failure_send);
-        expect_next(succ_active(self()), now);
-      } else {
-        set_state(GcState::one_failure_receive);
-        expect_next(group_.successor_of(e), now);
-        // An ND that raced ahead of our own timeout may already be here
-        // (it must be from THIS episode, i.e. newer than the freshest
-        // decision).
-        const ProcessId pa = pred_active(self());
-        const auto& info = nd_infos_[pa];
-        if (info.ts > round_.last_round() && round_.fresh(info.ts, now) &&
-            info.suspect == suspect_) {
-          if (self() == group_.predecessor_of(suspect_)) {
-            close_single_failure_election(now);
-          } else {
-            send_no_decision(now);
-            set_state(GcState::one_failure_send);
-            expect_next(succ_active(self()), now);
-          }
-        }
-      }
-      break;
+  if (state_ == GcState::failure_free) {
+    // Single failure suspected: the successor of the suspect opens the
+    // no-decision ring; everyone else waits for it (§4.2).
+    suspect_ = e;
+    if (self() == group_.successor_of(e)) {
+      // Two-member group: the ND ring is just us, so the election closes at
+      // once — but the ND still gives a live suspect the chance to resend
+      // its last control message.
+      if (self() == group_.predecessor_of(e)) send_no_decision(now);
+      pass_no_decision(now);
+    } else {
+      set_state(GcState::one_failure_receive);
+      expect_next(group_.successor_of(e), now);
+      // An ND that raced ahead of our own timeout may already be here (it
+      // must be from THIS episode, i.e. newer than the freshest decision).
+      const auto& info = nd_infos_[pred_active(self())];
+      if (info.ts > round_.last_round() && round_.fresh(info.ts, now) &&
+          info.suspect == suspect_)
+        pass_no_decision(now);
     }
-    case GcState::wrong_suspicion:
-    case GcState::one_failure_receive:
-    case GcState::one_failure_send:
-      // A second failure within the episode: multiple-failure election.
-      enter_n_failure(now);
-      break;
-    default:
-      break;
+  } else if (in_single_failure()) {
+    // A second failure within the episode: multiple-failure election.
+    enter_n_failure(now);
   }
 }
 
@@ -633,7 +628,6 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
 
   round_.advance_round(d.send_ts);
   last_decision_no_ = d.decision_no;
-  last_decider_ = d.decider;
 
   // Election messages may be used at most once (§4.2): any no-decision or
   // reconfiguration older than the freshest decision belongs to a resolved
@@ -657,8 +651,8 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
   // excluded. Once rehabilitated the guard no longer applies and the next
   // decision admits us normally; a non-dirty join-state process (e.g.
   // after a desync) kept its replica state and needs no re-baselining.
-  if (state_ == GcState::join && recovered_dirty_ &&
-      d.group.contains(self()) && !d.joiners.contains(self())) {
+  if (state_ == GcState::join && recovered_dirty_ && member &&
+      !d.joiners.contains(self())) {
     bool fresh_formation = false;
     for (const auto& e : d.oal.entries()) {
       if (e.kind == bcast::OalEntry::Kind::membership && e.gid == d.gid &&
@@ -684,28 +678,18 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
       // node whose timestamp is fresh but whose ordinal knowledge is stale
       // would defeat the join protocol's knowledge rule and could later
       // extend an outdated branch). We still do not JOIN the group.
-      gid_ = d.gid;
-      group_ = d.group;
-      installed_ = true;
-      const auto adopt = delivery_.adopt_oal(d.oal, d.gid);
-      if (adopt.divergent > 0) note_forked_lineage(adopt);
-      run_delivery(now);
+      learn_group(d, now);
       return;
     }
   }
 
   // Membership bookkeeping.
-  if (!installed_ || d.gid != gid_) {
-    if (member) {
-      install_view(d.gid, d.group, now, d.joiners.contains(self()));
-    } else {
-      handle_exclusion(d, from, now);
-      return;
-    }
-  } else if (!member) {
+  if (!member) {
     handle_exclusion(d, from, now);
     return;
   }
+  if (!installed_ || d.gid != gid_)
+    install_view(d.gid, d.group, now, d.joiners.contains(self()));
 
   // Exclusion-wait bookkeeping (we may re-enter while waiting).
   awaiting_exit_decisions_ = false;
@@ -717,7 +701,7 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
   // walking the ring past members that may be re-baselining themselves.
   if (adopt.divergent > 0) begin_rebaseline(adopt, now, from);
   run_delivery(now);
-  request_missing(now, from);
+  request_missing(from);
 
   // FSM transitions on a fresh decision (Figure 2: D edges). A decision
   // arriving from the CURRENT SUSPECT (its original transmission was late,
@@ -726,47 +710,22 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
   // confers the decider role — the no-decision ring we already fed may be
   // electing a decider, and a second one must not arise (§4.2).
   if (from_suspect) {
-    switch (state_) {
-      case GcState::one_failure_receive:
-      case GcState::one_failure_send:
-        set_state(GcState::wrong_suspicion);
-        break;
-      default:
-        break;  // wrong-suspicion stays; others unaffected
-    }
+    // Wrong-suspicion stays; other states are unaffected.
+    if (state_ == GcState::one_failure_receive ||
+        state_ == GcState::one_failure_send)
+      set_state(GcState::wrong_suspicion);
     return;
   }
 
-  switch (state_) {
-    case GcState::join:
-      ep_.trace(TraceKind::joined, d.gid);
-      suspect_ = kNoProcess;
-      set_state(GcState::failure_free);
-      break;
-    case GcState::failure_free:
-      suspect_ = kNoProcess;
-      break;
-    case GcState::wrong_suspicion:
-      suspect_ = kNoProcess;
-      set_state(GcState::failure_free);
-      break;
-    case GcState::one_failure_receive:
-      suspect_ = kNoProcess;
-      set_state(GcState::failure_free);
-      break;
-    case GcState::one_failure_send:
-      suspect_ = kNoProcess;
-      set_state(GcState::failure_free);
-      break;
-    case GcState::n_failure:
-      suspect_ = kNoProcess;
-      n_failure_since_ = -1;
-      sent_nd_this_episode_ = false;
-      set_state(GcState::failure_free);
-      break;
-    case GcState::desync:
-      return;  // shouldn't happen (no sync_now), defensive
+  // Every other state takes the D edge to failure-free.
+  if (state_ == GcState::desync) return;  // defensive: no sync_now there
+  if (state_ == GcState::join) ep_.trace(TraceKind::joined, d.gid);
+  if (state_ == GcState::n_failure) {
+    n_failure_since_ = -1;
+    sent_nd_this_episode_ = false;
   }
+  suspect_ = kNoProcess;
+  set_state(GcState::failure_free);
 
   // Decider rotation: "the next group member in the cyclical order assumes
   // the decider role on receiving this decision message" (§2).
@@ -780,27 +739,31 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
   }
 }
 
+void TimewheelNode::learn_group(const bcast::Decision& d, sim::ClockTime now) {
+  gid_ = d.gid;
+  group_ = d.group;
+  installed_ = true;
+  // The oal knowledge too (ordinal bindings, ack state): a process that
+  // later joins or wins an election must never re-order a proposal the
+  // group already bound. Deliveries this triggers are the §3-sanctioned
+  // divergence of a non-member; if the adopted window says deliveries we
+  // ALREADY handed to the application lost (divergent), the integration
+  // MUST re-baseline us — remember the fork, because the group will
+  // otherwise admit us as a clean member, no state transfer coming, and
+  // the two branches would both survive into the final histories (the
+  // lineage-conflict class torture --explore flushed out).
+  const auto adopt = delivery_.adopt_oal(d.oal, d.gid);
+  if (adopt.divergent > 0) note_forked_lineage(adopt);
+  run_delivery(now);
+}
+
 void TimewheelNode::handle_exclusion(const bcast::Decision& d, ProcessId from,
                                      sim::ClockTime now) {
   // Keep knowledge of the freshest group even though we are not in it
   // (needed by reconfiguration condition (4) and by the join protocol).
-  gid_ = d.gid;
-  group_ = d.group;
-  installed_ = true;
   ++stats_.exclusions;
   ep_.trace(TraceKind::excluded, d.gid, 0, d.group);
-  // Also keep the oal knowledge (ordinal bindings, ack state): an excluded
-  // process that later rejoins or wins an election must never re-order a
-  // proposal the group already bound. Deliveries this triggers are the
-  // §3-sanctioned divergence of a non-member; if the adopted window says
-  // deliveries we ALREADY handed to the application lost (divergent), the
-  // re-integration MUST re-baseline us — remember the fork, because the
-  // group will otherwise re-admit us as a clean member, no state transfer
-  // coming, and the two branches would both survive into the final
-  // histories (the lineage-conflict class torture --explore flushed out).
-  const auto adopt = delivery_.adopt_oal(d.oal, d.gid);
-  if (adopt.divergent > 0) note_forked_lineage(adopt);
-  run_delivery(now);
+  learn_group(d, now);
 
   if (state_ == GcState::n_failure) {
     // Delayed switch to join: "it waits until it has received a decision
@@ -815,19 +778,14 @@ void TimewheelNode::handle_exclusion(const bcast::Decision& d, ProcessId from,
     if (exit_decisions_needed_.empty()) {
       awaiting_exit_decisions_ = false;
       n_failure_since_ = -1;
-      set_state(GcState::join);
-      for (auto& j : join_infos_) j = JoinInfo{};
+      enter_join();
     }
     return;
   }
   if (state_ != GcState::join) {
-    i_am_decider_ = false;
     suspect_ = kNoProcess;
-    cancel_timer(decision_timer_);
-    fd_.clear_expectation();
-    cancel_timer(fd_timer_);
-    set_state(GcState::join);
-    for (auto& j : join_infos_) j = JoinInfo{};
+    stand_down();
+    enter_join();
   }
 }
 
@@ -841,7 +799,7 @@ void TimewheelNode::assume_decider_role(sim::ClockTime now) {
   // as fresh as ones arriving from now on: both get the batching deadline.
   const bool prompt =
       !orderable_proposals(now).empty() || !delivery_.missing().empty();
-  schedule_decision(prompt ? cfg_.proposal_batch_delay
+  schedule_decision(prompt ? kProposalBatchDelay
                            : cfg_.effective_decision_delay());
 }
 
@@ -945,9 +903,7 @@ void TimewheelNode::emit_decision(bcast::Oal oal, util::ProcessSet joiners,
   d.joiners = joiners;
   d.oal = std::move(oal);
 
-  auto bytes = d.encode();
-  last_control_sent_ = bytes;
-  ep_.broadcast(std::move(bytes));
+  broadcast_control(d.encode());
   // Handoff copy: the successor is the one member whose failure detector
   // reads a lost decision as a crashed decider, so one lost datagram would
   // otherwise start an election. The round gate drops whichever of the two
@@ -959,13 +915,11 @@ void TimewheelNode::emit_decision(bcast::Oal oal, util::ProcessSet joiners,
     copy.raw(last_control_sent_);
     ep_.send(successor, std::move(copy).take());
   }
-  ++decisions_sent_;
   ++stats_.decisions_sent;
   ep_.trace(TraceKind::decision_sent, gid_, d.decision_no);
 
   // Self-adoption: the decider is also a member.
   round_.advance_round(d.send_ts);
-  last_decider_ = self();
   delivery_.adopt_oal(d.oal, gid_);
   run_delivery(now);
 
@@ -978,8 +932,13 @@ void TimewheelNode::emit_decision(bcast::Oal oal, util::ProcessSet joiners,
   // own application state awaits a re-baseline (dirty or forked): a
   // poisoned donation would propagate the losing branch into the joiner,
   // whose solicitation retry walk reaches a clean member instead.
-  if (!recovered_dirty_ && !awaiting_state_ && !lineage_forked_)
+  if (can_donate())
     for (ProcessId j : joiners) send_state_transfer(j, d.send_ts);
+}
+
+bool TimewheelNode::can_donate() const {
+  return in_group() && !recovered_dirty_ && !awaiting_state_ &&
+         !lineage_forked_;
 }
 
 void TimewheelNode::send_state_transfer(ProcessId to,
@@ -1007,9 +966,7 @@ void TimewheelNode::handle_state_request(ProcessId from) {
   // except one that is itself waiting to be re-baselined after a crash
   // recovery (its application state and engine marks are incoherent). The
   // requester's ring walk reaches a clean member on a later retry.
-  if (!now || !in_group() || recovered_dirty_ || awaiting_state_ ||
-      lineage_forked_)
-    return;
+  if (!now || !can_donate()) return;
   send_state_transfer(from, *now);
 }
 
@@ -1026,7 +983,7 @@ void TimewheelNode::solicit_rejoin(sim::ClockTime now) {
   // Solicit only once the zombie guard has adopted the group's knowledge —
   // before that we do not know who the members are, and the normal join
   // integration path covers us anyway.
-  if (!installed_ || !group_.contains(self()) || group_.size() < 2) return;
+  if (!installed_ || !group_.contains(self())) return;
   rejoin_target_ = group_.successor_of(
       rejoin_target_ == kNoProcess ? self() : rejoin_target_);
   if (rejoin_target_ == self())
@@ -1057,9 +1014,7 @@ void TimewheelNode::handle_rejoin_request(ProcessId from, RejoinRequest rq) {
   if (round_.admit({RoundMsg::rejoin_request, from, rq.send_ts}, *now) !=
       RoundDrop::accepted)
     return;
-  // Same donor-fitness rule as handle_state_request.
-  if (!in_group() || recovered_dirty_ || awaiting_state_ || lineage_forked_)
-    return;
+  if (!can_donate()) return;
   TW_DEBUG("p" << self() << " answers rejoin solicitation from p" << from
                << " (incarnation " << rq.incarnation << ")");
   send_state_transfer(from, *now);
@@ -1068,12 +1023,6 @@ void TimewheelNode::handle_rejoin_request(ProcessId from, RejoinRequest rq) {
 // ---------------------------------------------------------------------------
 // Proposals
 // ---------------------------------------------------------------------------
-
-ProposalSeq TimewheelNode::propose(std::vector<std::byte> payload,
-                                   bcast::Order order,
-                                   bcast::Atomicity atomicity) {
-  return try_propose(std::move(payload), order, atomicity).seq;
-}
 
 ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
                                          bcast::Order order,
@@ -1107,17 +1056,10 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
 
   const auto now = sync_now();
   if (now && in_group()) {
-    p.hdo = delivery_.highest_known_ordinal();
-    p.send_ts = *now;
-    delivery_.note_proposal(p, *now);
-    ++stats_.proposals_sent;
-    ep_.trace(TraceKind::proposal_sent, p.id.seq);
-    if (cfg_.max_batch > 1)
-      queue_for_batch(p.id);
-    else
-      ep_.broadcast(bcast::encode_proposal(p));
+    send_own(p, *now);
+    schedule_batch_flush();
     run_delivery(*now);
-    if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
+    if (i_am_decider_) schedule_decision(kProposalBatchDelay);
   } else {
     pending_proposals_.push_back(std::move(p));
   }
@@ -1128,32 +1070,28 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
   return ProposeResult{true, static_cast<ProposalSeq>(next_seq_ - 1), 0};
 }
 
-void TimewheelNode::flush_pending_proposals(sim::ClockTime now) {
-  std::vector<const bcast::Proposal*> batch;
-  batch.reserve(pending_proposals_.size());
-  while (!pending_proposals_.empty()) {
-    bcast::Proposal p = std::move(pending_proposals_.front());
-    pending_proposals_.pop_front();
-    p.hdo = delivery_.highest_known_ordinal();
-    p.send_ts = now;
-    const bcast::ProposalId id = p.id;
-    delivery_.note_proposal(p, now);
-    ++stats_.proposals_sent;
-    ep_.trace(TraceKind::proposal_sent, id.seq);
-    if (const bcast::Proposal* held = delivery_.get(id))
-      batch.push_back(held);
-  }
-  ship_proposals(kNoProcess, batch);
+void TimewheelNode::send_own(bcast::Proposal& p, sim::ClockTime now) {
+  p.hdo = delivery_.highest_known_ordinal();
+  p.send_ts = now;
+  delivery_.note_proposal(p, now);
+  ++stats_.proposals_sent;
+  ep_.trace(TraceKind::proposal_sent, p.id.seq);
+  batch_queue_.push_back(p.id);
 }
 
-void TimewheelNode::queue_for_batch(const bcast::ProposalId& id) {
-  batch_queue_.push_back(id);
+void TimewheelNode::flush_pending_proposals(sim::ClockTime now) {
+  for (; !pending_proposals_.empty(); pending_proposals_.pop_front())
+    send_own(pending_proposals_.front(), now);
+  flush_proposal_batch();
+}
+
+void TimewheelNode::schedule_batch_flush() {
   if (static_cast<int>(batch_queue_.size()) >= cfg_.max_batch) {
     flush_proposal_batch();
     return;
   }
   if (batch_timer_ == net::kNoTimer)
-    batch_timer_ = ep_.set_timer_after(cfg_.batch_flush_delay, [this] {
+    batch_timer_ = ep_.set_timer_after(kBatchFlushDelay, [this] {
       batch_timer_ = net::kNoTimer;
       flush_proposal_batch();
     });
@@ -1188,22 +1126,12 @@ void TimewheelNode::ship_proposals(
   }
 }
 
-void TimewheelNode::handle_proposal(ProcessId from, bcast::Proposal p) {
-  const auto now_opt = sync_now();
-  if (!now_opt) return;
-  if (p.id.proposer != from && delivery_.have(p.id))
-    return;  // relayed retransmission of something we hold
-  delivery_.note_proposal(p, *now_opt);
-  run_delivery(*now_opt);
-  if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
-}
-
-void TimewheelNode::handle_proposal_batch(ProcessId from,
-                                          std::vector<bcast::Proposal> ps) {
+void TimewheelNode::handle_proposals(ProcessId from,
+                                     std::span<const bcast::Proposal> ps) {
   const auto now_opt = sync_now();
   if (!now_opt) return;
   bool fresh = false;
-  for (auto& p : ps) {
+  for (const auto& p : ps) {
     if (p.id.proposer != from && delivery_.have(p.id))
       continue;  // relayed retransmission of something we hold
     delivery_.note_proposal(p, *now_opt);
@@ -1213,7 +1141,7 @@ void TimewheelNode::handle_proposal_batch(ProcessId from,
   // One delivery pass and (if decider) one decision schedule for the whole
   // batch — this is where the receive-side amortization happens.
   run_delivery(*now_opt);
-  if (i_am_decider_) schedule_decision(cfg_.proposal_batch_delay);
+  if (i_am_decider_) schedule_decision(kProposalBatchDelay);
 }
 
 void TimewheelNode::handle_retransmit_request(ProcessId from,
@@ -1225,8 +1153,7 @@ void TimewheelNode::handle_retransmit_request(ProcessId from,
   ship_proposals(from, have);
 }
 
-void TimewheelNode::request_missing(sim::ClockTime now, ProcessId hint) {
-  (void)now;
+void TimewheelNode::request_missing(ProcessId hint) {
   retransmit_hint_ = hint;
   if (delivery_.missing().empty()) {
     cancel_timer(retransmit_timer_);
@@ -1269,8 +1196,7 @@ void TimewheelNode::request_missing(sim::ClockTime now, ProcessId hint) {
         retry_jitter(retransmit_attempts_) % (cfg_.delta + 1);
     retransmit_timer_ = ep_.set_timer_after(gap + jit, [this] {
       retransmit_timer_ = net::kNoTimer;
-      const auto t = sync_now();
-      if (t) request_missing(*t, kNoProcess);
+      if (sync_now()) request_missing(kNoProcess);
     });
   });
 }
@@ -1297,10 +1223,22 @@ void TimewheelNode::send_no_decision(sim::ClockTime now) {
   ++stats_.no_decisions_sent;
   nd_infos_[self()] =
       ElectionInfo{nd.view, nd.dpd, nd.send_ts, nd.suspect};
+  broadcast_control(nd.encode());
+}
 
-  auto bytes = nd.encode();
+void TimewheelNode::broadcast_control(std::vector<std::byte> bytes) {
   last_control_sent_ = bytes;
   ep_.broadcast(std::move(bytes));
+}
+
+void TimewheelNode::pass_no_decision(sim::ClockTime now) {
+  if (self() == group_.predecessor_of(suspect_)) {
+    close_single_failure_election(now);
+    return;
+  }
+  send_no_decision(now);
+  set_state(GcState::one_failure_send);
+  expect_next(succ_active(self()), now);
 }
 
 void TimewheelNode::resend_last_control(sim::ClockTime now) {
@@ -1337,6 +1275,10 @@ void TimewheelNode::handle_no_decision(ProcessId from, NoDecision nd) {
   nd_infos_[from] = ElectionInfo{nd.view, nd.dpd, nd.send_ts, nd.suspect};
 
   if (!in_group() || !group_.contains(from)) return;
+  if (in_single_failure() && nd.suspect != suspect_) {
+    enter_n_failure(now);  // conflicting suspicions: multiple failures
+    return;
+  }
 
   switch (state_) {
     case GcState::failure_free: {
@@ -1361,16 +1303,12 @@ void TimewheelNode::handle_no_decision(ProcessId from, NoDecision nd) {
           become_decider_wrong_suspicion(now);
       } else {
         // We concur (our FD just had not fired yet): join the no-decision
-        // ring exactly as if our own timeout had raised the suspicion.
+        // ring exactly as if our own timeout had raised the suspicion. A
+        // close from failure-free passes through one-failure-receive.
         if (from == pred_active(self())) {
-          if (self() == group_.predecessor_of(suspect_)) {
+          if (self() == group_.predecessor_of(suspect_))
             set_state(GcState::one_failure_receive);
-            close_single_failure_election(now);
-          } else {
-            send_no_decision(now);
-            set_state(GcState::one_failure_send);
-            expect_next(succ_active(self()), now);
-          }
+          pass_no_decision(now);
         } else {
           set_state(GcState::one_failure_receive);
           expect_next(succ_active(from), nd.send_ts);
@@ -1378,46 +1316,23 @@ void TimewheelNode::handle_no_decision(ProcessId from, NoDecision nd) {
       }
       break;
     }
-    case GcState::wrong_suspicion: {
-      if (nd.suspect != suspect_) {
-        enter_n_failure(now);  // conflicting suspicions: multiple failures
-        return;
-      }
+    case GcState::wrong_suspicion:
       if (suspect_ == self()) resend_last_control(now);
-      if (from == pred_active(self()) && suspect_ != self()) {
+      if (from == pred_active(self()) && suspect_ != self())
         become_decider_wrong_suspicion(now);
-      } else {
+      else
         expect_next(succ_active(from), nd.send_ts);
-      }
       break;
-    }
-    case GcState::one_failure_receive: {
-      if (nd.suspect != suspect_) {
-        enter_n_failure(now);
-        return;
-      }
-      if (from == pred_active(self())) {
-        if (self() == group_.predecessor_of(suspect_)) {
-          close_single_failure_election(now);
-        } else {
-          send_no_decision(now);
-          set_state(GcState::one_failure_send);
-          expect_next(succ_active(self()), now);
-        }
-      } else {
+    case GcState::one_failure_receive:
+      if (from == pred_active(self()))
+        pass_no_decision(now);
+      else
         expect_next(succ_active(from), nd.send_ts);
-      }
       break;
-    }
-    case GcState::one_failure_send: {
-      if (nd.suspect != suspect_) {
-        enter_n_failure(now);
-        return;
-      }
+    case GcState::one_failure_send:
       // Stay; follow the ring with the FD.
       expect_next(succ_active(from), nd.send_ts);
       break;
-    }
     default:
       break;  // join / n-failure / desync ignore NDs
   }
@@ -1491,22 +1406,9 @@ void TimewheelNode::create_group(util::ProcessSet members,
                                  std::vector<bcast::ProposalId> extra_dpds,
                                  util::ProcessSet joiners,
                                  sim::ClockTime now) {
-  TW_ASSERT(members.contains(self()));
-
-  // A sole survivor's merged knowledge is the new baseline: nobody else can
-  // supply one, and holding deliveries would wedge it. With supporters, a
-  // recovered creator stays dirty and re-baselines from one of them below:
-  // its durable application state may hold deliveries the group never saw
-  // (a decision it self-delivered that reached nobody before it crashed),
-  // and merged engine knowledge cannot show that.
-  if (recovered_dirty_ && members.size() < 2) {
-    recovered_dirty_ = false;
-    ++stats_.rehabilitations;
-    if (auto* rec = ep_.obs())
-      rec->emit(obs::EvKind::rehabilitated, 1, 0,
-                buffered_deliveries_.size());
-    flush_buffered_deliveries();
-  }
+  // Every caller requires a strict majority of a team of n >= 2, so the
+  // creator always has a supporter to re-baseline from.
+  TW_ASSERT(members.contains(self()) && members.size() >= 2);
 
   // Merge the views received from the other new members so ack knowledge is
   // complete before classifying lost proposals. The BASE of the merge is
@@ -1591,23 +1493,20 @@ void TimewheelNode::create_group(util::ProcessSet members,
     // for a baseline first.
     begin_rebaseline(adopt, now, freshest_donor);
   } else if (lineage_forked_ || recovered_dirty_) {
-    if (group_.size() < 2) {
-      // Sole survivor: nobody can supply a cleaner baseline, so the
-      // forked branch IS the history from here on.
-      lineage_forked_ = false;
-    } else {
-      // The engine window already carries the winning branch (its slots
-      // were repaired when the fork was first detected), so this adopt
-      // reports no divergence — but the APPLICATION state still holds
-      // the losing branch's deliveries, and only the sticky flag
-      // remembers. Even as creator we must fetch a supporter's baseline
-      // before delivering (or donating) anything further. Note the merge
-      // base being our own window does NOT make our app state clean: the
-      // winning bindings were adopted into the engine at exclusion time,
-      // after the forked deliveries had already reached the app. A
-      // recovered creator's app state is suspect in the same way.
-      begin_rebaseline(adopt, now, freshest_donor);
-    }
+    // The engine window already carries the winning branch (its slots were
+    // repaired when the fork was first detected), so this adopt reports no
+    // divergence — but the APPLICATION state still holds the losing
+    // branch's deliveries, and only the sticky flag remembers. Even as
+    // creator we must fetch a supporter's baseline before delivering (or
+    // donating) anything further. Note the merge base being our own window
+    // does NOT make our app state clean: the winning bindings were adopted
+    // into the engine at exclusion time, after the forked deliveries had
+    // already reached the app. A recovered creator's app state is suspect
+    // in the same way: its durable application state may hold deliveries
+    // the group never saw (a decision it self-delivered that reached
+    // nobody before it crashed), and merged engine knowledge cannot show
+    // that.
+    begin_rebaseline(adopt, now, freshest_donor);
   }
 
   // Send the first decision of the new group.
@@ -1623,10 +1522,7 @@ void TimewheelNode::enter_n_failure(sim::ClockTime now) {
   if (state_ == GcState::n_failure) return;
   set_state(GcState::n_failure);
   n_failure_since_ = now;
-  i_am_decider_ = false;
-  cancel_timer(decision_timer_);
-  fd_.clear_expectation();
-  cancel_timer(fd_timer_);
+  stand_down();
   my_recon_ts_ = -1;
   my_recon_list_.clear();
   if (sent_nd_this_episode_) {
@@ -1644,18 +1540,15 @@ void TimewheelNode::send_reconfiguration(sim::ClockTime now, bool abstain) {
     r.recon_list = current_recon_list(slot);
     my_recon_ts_ = r.send_ts;
     my_recon_list_ = r.recon_list;
+    ++stats_.reconfigurations_sent;
   }
-  if (!abstain) ++stats_.reconfigurations_sent;
   r.last_decision_ts = round_.last_round();
   r.last_gid = gid_;
   r.last_group = group_;
   r.alive = fd_.alive_list(now);
   r.view = delivery_.view(now);
   r.dpd = delivery_.dpd();
-
-  auto bytes = r.encode();
-  last_control_sent_ = bytes;
-  ep_.broadcast(std::move(bytes));
+  broadcast_control(r.encode());
 }
 
 util::ProcessSet TimewheelNode::current_recon_list(std::int64_t slot) const {
@@ -1714,19 +1607,12 @@ void TimewheelNode::handle_reconfiguration(ProcessId from,
     return;
 
   recon_infos_[from] = ReconInfo{std::move(r), true};
-
-  switch (state_) {
-    case GcState::failure_free:
-    case GcState::wrong_suspicion:
-    case GcState::one_failure_receive:
-    case GcState::one_failure_send:
-      // "if p receives a reconfiguration message from the expected sender,
-      // it switches to n-failure state" (§4.2).
-      if (from == fd_.expected_sender()) enter_n_failure(now);
-      break;
-    default:
-      break;  // n-failure accumulates; join/desync ignore
-  }
+  // "if p receives a reconfiguration message from the expected sender, it
+  // switches to n-failure state" (§4.2). n-failure accumulates; join and
+  // desync ignore.
+  if ((state_ == GcState::failure_free || in_single_failure()) &&
+      from == fd_.expected_sender())
+    enter_n_failure(now);
 }
 
 // ---------------------------------------------------------------------------
@@ -1744,9 +1630,7 @@ void TimewheelNode::send_join(sim::ClockTime now) {
   j.gid = gid_;
   join_infos_[self()] =
       JoinInfo{j.join_list, j.send_ts, round_.last_round(), j.gid};
-  auto bytes = j.encode();
-  last_control_sent_ = bytes;
-  ep_.broadcast(std::move(bytes));
+  broadcast_control(j.encode());
 }
 
 util::ProcessSet TimewheelNode::current_join_list(std::int64_t slot) const {
@@ -1957,9 +1841,7 @@ void TimewheelNode::install_view(GroupId gid, util::ProcessSet members,
       // must actively replace the forked branch before delivering more.
       awaiting_state_ = true;
       state_request_retries_ = 0;
-      arm_sync_timer(state_wait_timer_,
-                     now + retry_backoff(0) + retry_jitter(0),
-                     [this] { retry_state_request(); });
+      arm_state_wait(now, 0);
       if (lineage_forked_ && !expect_state_transfer) retry_state_request();
     }
     flush_pending_proposals(now);
@@ -1990,20 +1872,26 @@ void TimewheelNode::retry_state_request() {
   ProcessId target = group_.successor_of(self());
   for (int i = 1; i < state_request_retries_; ++i)
     target = group_.successor_of(target);
-  if (target != kNoProcess && target != self()) {
-    if (auto* rec = ep_.obs())
-      rec->emit(obs::EvKind::rejoin_retry, 0,
-                static_cast<std::uint64_t>(state_request_retries_), target);
-    util::ByteWriter w;
-    w.u8(net::kind_byte(net::MsgKind::state_request));
-    ep_.send(target, std::move(w).take());
-  }
+  if (target != kNoProcess && target != self())
+    send_state_request(target, state_request_retries_);
+  arm_state_wait(*now, state_request_retries_);
+}
+
+void TimewheelNode::send_state_request(ProcessId to, int attempt) {
+  if (auto* rec = ep_.obs())
+    rec->emit(obs::EvKind::rejoin_retry, 0,
+              static_cast<std::uint64_t>(attempt), to);
+  util::ByteWriter w;
+  w.u8(net::kind_byte(net::MsgKind::state_request));
+  ep_.send(to, std::move(w).take());
+}
+
+void TimewheelNode::arm_state_wait(sim::ClockTime now, int attempt) {
   // Exponential backoff with deterministic jitter: after a heal every
   // member of the losing side re-baselines at once, and a fixed cadence
   // would hammer the same donor in lockstep each cycle.
   arm_sync_timer(state_wait_timer_,
-                 *now + retry_backoff(state_request_retries_) +
-                     retry_jitter(state_request_retries_),
+                 now + retry_backoff(attempt) + retry_jitter(attempt),
                  [this] { retry_state_request(); });
 }
 
@@ -2019,7 +1907,7 @@ void TimewheelNode::begin_rebaseline(
               << outcome.window_epoch
               << "; re-soliciting a fresh baseline");
   if (awaiting_state_) return;  // a solicitation is already in flight
-  if (!in_group() || group_.size() < 2) {
+  if (!in_group()) {
     // No donor reachable right now; the fork must survive until one is.
     note_forked_lineage(outcome);
     return;
@@ -2031,14 +1919,8 @@ void TimewheelNode::begin_rebaseline(
   state_request_retries_ = 0;
   if (preferred_donor != kNoProcess && preferred_donor != self() &&
       group_.contains(preferred_donor)) {
-    if (auto* rec = ep_.obs())
-      rec->emit(obs::EvKind::rejoin_retry, 0, 0, preferred_donor);
-    util::ByteWriter w;
-    w.u8(net::kind_byte(net::MsgKind::state_request));
-    ep_.send(preferred_donor, std::move(w).take());
-    arm_sync_timer(state_wait_timer_,
-                   now + retry_backoff(0) + retry_jitter(0),
-                   [this] { retry_state_request(); });
+    send_state_request(preferred_donor, 0);
+    arm_state_wait(now, 0);
   } else {
     retry_state_request();
   }
@@ -2081,22 +1963,11 @@ sim::Duration TimewheelNode::retry_jitter(int attempt) const {
   return span == 0 ? 0 : static_cast<sim::Duration>(z % span);
 }
 
-std::size_t TimewheelNode::overload_hi_mark() const {
-  const auto cap = static_cast<std::size_t>(cfg_.max_pending);
-  return std::max<std::size_t>(
-      1, cap * static_cast<std::size_t>(cfg_.overload_hi_pct) / 100);
-}
-
-std::size_t TimewheelNode::overload_lo_mark() const {
-  const auto cap = static_cast<std::size_t>(cfg_.max_pending);
-  return cap * static_cast<std::size_t>(cfg_.overload_lo_pct) / 100;
-}
-
 void TimewheelNode::update_overload() {
   if (cfg_.max_pending <= 0) return;
   const auto cap = static_cast<std::size_t>(cfg_.max_pending);
-  const std::size_t hi = overload_hi_mark();
-  const std::size_t lo = overload_lo_mark();
+  const std::size_t hi = std::max<std::size_t>(1, cap * kOverloadHiPct / 100);
+  const std::size_t lo = cap * kOverloadLoPct / 100;
   const std::size_t occ = own_inflight_;
   // Stepwise ladder with a hysteresis band: escalation triggers at hi/cap,
   // recovery waits for lo (< hi), so occupancy oscillating around one

@@ -3,7 +3,7 @@
 // engine, and the timewheel group membership protocol (failure detector +
 // group creator, paper §4). This is the library's public facade; bind one
 // node per team member to a net::Endpoint (simulated or UDP) and drive it
-// through propose()/callbacks.
+// through try_propose()/callbacks.
 #pragma once
 
 #include <deque>
@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bcast/delivery.hpp"
@@ -74,8 +75,8 @@ struct NodeStats {
 };
 
 /// Degraded-mode ladder driven by admission-queue occupancy watermarks
-/// (NodeConfig::max_pending / overload_{hi,lo}_pct). Inactive (always
-/// `normal`) when max_pending == 0.
+/// (75% and 50% of NodeConfig::max_pending). Inactive (always `normal`)
+/// when max_pending == 0.
 enum class OverloadState : std::uint8_t {
   normal = 0,
   backpressured = 1,  ///< above hi watermark: callers should slow down
@@ -94,6 +95,13 @@ struct ProposeResult {
 
 class TimewheelNode final : public net::Handler {
  public:
+  /// A decider holding fresh proposals sends its decision at most this long
+  /// after the first one, instead of waiting out the idle decision delay —
+  /// a deadline, not a debounce: later proposals never postpone it.
+  /// Proposals already held when the role arrives count as fresh from the
+  /// moment it is assumed.
+  static constexpr sim::Duration kProposalBatchDelay = sim::msec(2);
+
   /// `store` (optional) is this process's stable storage: it must outlive
   /// the node and SURVIVE crash/recover cycles — on every on_start the node
   /// re-opens it, bumps the durable incarnation, restarts the proposal
@@ -111,18 +119,14 @@ class TimewheelNode final : public net::Handler {
   void on_datagram(ProcessId from, std::span<const std::byte> data) override;
 
   // Public API ---------------------------------------------------------
-  /// Broadcast an update with the given semantics. Returns the proposal's
-  /// sequence number. Proposals made before the node is a group member are
-  /// queued and sent on join.
-  ProposalSeq propose(std::vector<std::byte> payload,
-                      bcast::Order order = bcast::Order::total,
-                      bcast::Atomicity atomicity = bcast::Atomicity::weak);
-  /// Admission-controlled propose: refuses (rather than queues) when the
-  /// node holds cfg.max_pending own proposals in flight. Refusal happens
-  /// BEFORE a sequence number is consumed, so it is invisible to FIFO /
-  /// fifo_floor gap detection — see NodeConfig::max_pending for why
-  /// shedding after admission is not an option. propose() is this with the
-  /// refusal ignored (and identical to it when max_pending == 0).
+  /// Broadcast an update with the given semantics; the result carries the
+  /// proposal's sequence number. Proposals made before the node is a group
+  /// member are queued and sent on join. With cfg.max_pending > 0 this
+  /// refuses (rather than queues) while the node holds that many own
+  /// proposals in flight. Refusal happens BEFORE a sequence number is
+  /// consumed, so it is invisible to FIFO / fifo_floor gap detection — see
+  /// NodeConfig::max_pending for why shedding after admission is not an
+  /// option. With max_pending == 0 every proposal is accepted.
   ProposeResult try_propose(
       std::vector<std::byte> payload, bcast::Order order = bcast::Order::total,
       bcast::Atomicity atomicity = bcast::Atomicity::weak);
@@ -139,7 +143,9 @@ class TimewheelNode final : public net::Handler {
   /// the decider role.
   [[nodiscard]] ProcessId believed_decider() const { return expected_decider_; }
   [[nodiscard]] bool has_decider_role() const { return i_am_decider_; }
-  [[nodiscard]] std::uint64_t decisions_sent() const { return decisions_sent_; }
+  [[nodiscard]] std::uint64_t decisions_sent() const {
+    return stats_.decisions_sent;
+  }
   [[nodiscard]] std::uint64_t delivered_count() const {
     return delivery_.delivered_count();
   }
@@ -190,13 +196,21 @@ class TimewheelNode final : public net::Handler {
 
   // --- state machine ------------------------------------------------------
   void set_state(GcState next);
+  /// In one of Figure 2's single-failure states: wrong-suspicion or
+  /// one-failure receive/send.
+  [[nodiscard]] bool in_single_failure() const;
+  /// Enter the join state with a fresh join dance.
+  void enter_join();
+  /// Give up the decider role and the surveillance: no decision is due
+  /// and no control message is expected.
+  void stand_down();
   void full_reset();
   void on_clock_sync_change(bool synchronized);
 
   // --- message handlers ----------------------------------------------------
   void handle_decision(ProcessId from, bcast::Decision d);
-  void handle_proposal(ProcessId from, bcast::Proposal p);
-  void handle_proposal_batch(ProcessId from, std::vector<bcast::Proposal> ps);
+  /// A proposal or proposal_batch datagram (a proposal is a batch of one).
+  void handle_proposals(ProcessId from, std::span<const bcast::Proposal> ps);
   void handle_no_decision(ProcessId from, NoDecision nd);
   void handle_join(ProcessId from, Join j);
   void handle_reconfiguration(ProcessId from, Reconfiguration r);
@@ -206,6 +220,9 @@ class TimewheelNode final : public net::Handler {
   /// Zombie rehabilitation: ask a (rotating) member for a state transfer
   /// while we are recovered-dirty but still listed in the current view.
   void solicit_rejoin(sim::ClockTime now);
+  /// True while our application state is fit to re-baseline another
+  /// member: we are in the group and need no re-baseline ourselves.
+  [[nodiscard]] bool can_donate() const;
   void send_state_transfer(ProcessId to, sim::ClockTime send_ts);
   void handle_retransmit_request(ProcessId from, bcast::RetransmitRequest rq);
 
@@ -236,14 +253,20 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] util::ProcessSet current_recon_list(std::int64_t slot) const;
 
   // --- elections / group creation ------------------------------------
+  /// Broadcast a control message and keep it for wrong-suspicion resends.
+  void broadcast_control(std::vector<std::byte> bytes);
   void send_no_decision(sim::ClockTime now);
+  /// Our no-decision ring predecessor has spoken (Figure 2): close the
+  /// election if we precede the suspect, else pass a no-decision on and
+  /// watch our successor.
+  void pass_no_decision(sim::ClockTime now);
   void close_single_failure_election(sim::ClockTime now);
   void become_decider_wrong_suspicion(sim::ClockTime now);
-  /// Create a new group as decider: repair the oal, install, send the
-  /// first decision (and state transfers to joiners).
   /// Allocate the id for a group created now: strictly greater than gid_,
   /// unique across concurrent creators (creator id in the low digits).
   [[nodiscard]] GroupId next_gid(sim::ClockTime now) const;
+  /// Create a new group as decider: repair the oal, install, send the
+  /// first decision (and state transfers to joiners).
   void create_group(util::ProcessSet members, util::ProcessSet departed,
                     std::vector<bcast::ProposalId> extra_dpds,
                     util::ProcessSet joiners, sim::ClockTime now);
@@ -272,11 +295,18 @@ class TimewheelNode final : public net::Handler {
   // --- membership install / delivery ----------------------------------
   void install_view(GroupId gid, util::ProcessSet members,
                     sim::ClockTime now, bool expect_state_transfer = false);
+  /// Keep the group id, members and oal of a decision whose group we do
+  /// not (yet) join.
+  void learn_group(const bcast::Decision& d, sim::ClockTime now);
   void handle_exclusion(const bcast::Decision& d, ProcessId from,
                         sim::ClockTime now);
   void deliver_to_app(const bcast::Proposal& p, Ordinal ordinal);
   /// Hand a delivery to the application and persist the watermark.
   void hand_to_app(const bcast::Proposal& p, Ordinal ordinal);
+  /// Ask `to` for a state transfer (`attempt` is traced).
+  void send_state_request(ProcessId to, int attempt);
+  /// Arm the state-transfer wait for solicitation `attempt`.
+  void arm_state_wait(sim::ClockTime now, int attempt);
   void retry_state_request();
   /// React to a cross-epoch rebind reported by adopt_oal: our delivered
   /// history is a forked branch the installed epoch superseded. Buffer
@@ -297,30 +327,29 @@ class TimewheelNode final : public net::Handler {
   void flush_buffered_deliveries();
   void run_delivery(sim::ClockTime now);
   void flush_pending_proposals(sim::ClockTime now);
-  void request_missing(sim::ClockTime now, ProcessId hint);
+  void request_missing(ProcessId hint);
 
   // --- overload protection (cfg_.max_pending > 0) -----------------------
   /// Re-evaluate the degraded-mode ladder against the current occupancy
   /// and emit overload_enter/overload_exit traces on transitions.
   void update_overload();
-  [[nodiscard]] std::size_t overload_hi_mark() const;
-  [[nodiscard]] std::size_t overload_lo_mark() const;
   /// Resend last_control_sent_ for a wrong-suspicion episode, rate-limited
   /// with exponential backoff + jitter so repeated/duplicated no-decision
   /// messages can't turn the resend into a repair storm.
   void resend_last_control(sim::ClockTime now);
 
-  // --- proposer-side batching (cfg_.max_batch > 1) ---------------------
-  /// Queue an own proposal for the next batch; flushes once the batch is
-  /// full, or after batch_flush_delay.
-  void queue_for_batch(const bcast::ProposalId& id);
+  // --- proposer-side batching --------------------------------------------
+  /// Stamp an own proposal for sending at `now`, note it in the delivery
+  /// engine and queue it for the next batch.
+  void send_own(bcast::Proposal& p, sim::ClockTime now);
+  /// Flush the batch queue once it is full (at once when max_batch <= 1),
+  /// else arm the flush timer.
+  void schedule_batch_flush();
   void flush_proposal_batch();
   /// Ship proposals in max_batch-sized datagrams; `to` == kNoProcess
   /// broadcasts, anything else unicasts (retransmit answers).
   void ship_proposals(ProcessId to,
                       const std::vector<const bcast::Proposal*>& ps);
-
-  void trace_state_change(GcState from, GcState to);
 
   // ---------------------------------------------------------------------
   net::Endpoint& ep_;
@@ -335,7 +364,7 @@ class TimewheelNode final : public net::Handler {
   csync::ClockSync clock_;
   FailureDetector fd_;
   /// Surveillance-timeout policy (cfg_.detector); fd_ holds a non-owning
-  /// pointer. nullptr when cfg_.detector == fixed (the FD's default path).
+  /// pointer. nullptr when cfg_.detector == fixed (the FD's default).
   std::unique_ptr<DetectorPolicy> detector_policy_;
   bcast::DeliveryEngine delivery_;
   /// The round gate reads the node's (epoch, round) position directly
@@ -353,12 +382,10 @@ class TimewheelNode final : public net::Handler {
 
   // Freshest decision we know (the round cursor itself lives in round_).
   std::uint64_t last_decision_no_ = 0;
-  ProcessId last_decider_ = kNoProcess;
 
   // Decider-role tracking.
   bool i_am_decider_ = false;
   ProcessId expected_decider_ = kNoProcess;
-  std::uint64_t decisions_sent_ = 0;
   /// Synchronized time decision_timer_ is armed for (meaningless while the
   /// timer is not armed).
   sim::ClockTime decision_due_ = -1;
@@ -370,7 +397,7 @@ class TimewheelNode final : public net::Handler {
   ProposalSeq seq_floor_ = 0;
   std::deque<bcast::Proposal> pending_proposals_;  ///< queued until member
   /// Own proposals noted in the delivery engine but not yet on the wire,
-  /// awaiting a full batch or the flush timer (empty when max_batch <= 1).
+  /// awaiting a full batch or the flush timer.
   std::vector<bcast::ProposalId> batch_queue_;
 
   // Last control message we broadcast (for wrong-suspicion resends).
@@ -449,7 +476,7 @@ class TimewheelNode final : public net::Handler {
   /// Consecutive unanswered rejoin solicitations (drives the backoff).
   int rejoin_attempts_ = 0;
 
-  // Watchdog for the join fallback (see NodeConfig::join_fallback_cycles).
+  // Watchdog for the join fallback (see on_housekeeping).
   sim::ClockTime n_failure_since_ = -1;
 
   bool ever_started_ = false;

@@ -64,9 +64,8 @@ enum class EvKind : std::uint8_t {
   // records replayed, b = bytes lost to corruption (skipped + truncated +
   // undecodable). rejoin_request a = solicited member. rehabilitated
   // arg = how the episode ended (0 = re-baselined by a state transfer,
-  // 1 = own merged knowledge became the baseline by creating the group,
-  // 2 = gave up waiting for a donor), a = group id (0 when creating),
-  // b = buffered deliveries flushed.
+  // 2 = gave up waiting for a donor, 3 = a state transfer replaced a
+  // forked history), a = group id, b = buffered deliveries flushed.
   store_open = 16,
   rejoin_request = 17,
   rehabilitated = 18,

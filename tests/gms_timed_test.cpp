@@ -205,7 +205,7 @@ constexpr sim::Duration kStepSlack = sim::usec(500);
 
 TEST(GmsTimed, DecisionDeadlineCountsFromFirstFreshProposal) {
   // A steady stream of fresh proposals must not postpone the decision:
-  // the decider sends at most proposal_batch_delay after the first one.
+  // the decider sends at most kProposalBatchDelay after the first one.
   SimHarness h(cfg_n(3, 21));
   form(h);
   h.run_for(sim::sec(1));
@@ -220,14 +220,13 @@ TEST(GmsTimed, DecisionDeadlineCountsFromFirstFreshProposal) {
   const sim::SimTime sent =
       step_to_decision(h, d, before, first + sim::msec(50));
   ASSERT_NE(sent, sim::kNever);
-  EXPECT_LE(sent - first,
-            h.node(d).config().proposal_batch_delay + kStepSlack);
+  EXPECT_LE(sent - first, TimewheelNode::kProposalBatchDelay + kStepSlack);
 }
 
 TEST(GmsTimed, SuccessorHoldingProposalsDecidesWithinBatchDelay) {
   // A proposal the decider never received reaches its successor first.
   // When the role arrives the successor already holds unordered work, so
-  // it decides within proposal_batch_delay, not after the idle D/2.
+  // it decides within kProposalBatchDelay, not after the idle D/2.
   SimHarness h(cfg_n(3, 22));
   form(h);
   h.run_for(sim::sec(1));
@@ -245,8 +244,7 @@ TEST(GmsTimed, SuccessorHoldingProposalsDecidesWithinBatchDelay) {
   const sim::SimTime sent =
       step_to_decision(h, q, before, assumed + sim::msec(50));
   ASSERT_NE(sent, sim::kNever);
-  EXPECT_LE(sent - assumed,
-            h.node(q).config().proposal_batch_delay + kStepSlack);
+  EXPECT_LE(sent - assumed, TimewheelNode::kProposalBatchDelay + kStepSlack);
   h.run_for(sim::sec(1));
   for (ProcessId m = 0; m < 3; ++m)
     EXPECT_EQ(h.delivered(m).size(), 1u) << "p" << m;

@@ -168,7 +168,7 @@ TEST(UdpTransport, FullStackFormsGroupOverRealSockets) {
   ASSERT_TRUE(all_in_group()) << "group did not form over UDP";
 
   cluster.post(0, [&nodes] {
-    nodes[0]->propose({std::byte{1}, std::byte{2}}, bcast::Order::total);
+    nodes[0]->try_propose({std::byte{1}, std::byte{2}}, bcast::Order::total);
   });
   for (int i = 0; i < 300; ++i) {
     bool all = true;

@@ -11,6 +11,7 @@
 //   torture_main --replay fail.plan       # re-run a written plan file
 //   torture_main --explore                # enumerate the default window
 //   torture_main --explore-window W.window   # ... a checked-in window spec
+//   torture_main --seeds 200 --digest-only   # "<seed> <digest>" lines
 //
 // Exit status: 0 = all runs passed, 1 = at least one violation, 2 = usage.
 #include <cstdio>
@@ -44,7 +45,8 @@ void usage() {
   --no-minimize     skip minimizing failing schedules
   --out FILE        write failing plans to FILE (default torture_fail.plan)
   --replay FILE     run a plan file written by a previous failure
-  --digest-only     print only "seed digest" lines (for diffing runs)
+  --digest-only     print only "<seed|plan|case> <digest>" lines (for
+                    diffing runs; see tools/digest_gate.sh)
   --explore         exhaustively enumerate the default bounded window
                     (3 processes x 2 rounds; crash + partition transitions)
   --explore-window FILE   enumerate an "explore-window v1" spec file
@@ -208,6 +210,36 @@ int main(int argc, char** argv) {
     // The CLI mutation flag overrides the spec, so one checked-in window
     // serves both the HEAD run and the guard-mutated run.
     if (!occupancy_guard) window.occupancy_guard = false;
+    if (digest_only) {
+      // One "<case> <digest>" line per case, in explore()'s DFS order. Built
+      // only on build_explore_case and run_plan, so tools/digest_gate.sh can
+      // drive a library that predates this mode; a window with only one
+      // transition enabled counts that transition's domain.
+      auto domain = [&window](bool crash, bool partition, bool drops) {
+        torture::ExploreWindow only = window;
+        only.crash = crash;
+        only.partition = partition;
+        only.drops = drops;
+        return only.case_count() - 1;  // minus "transition absent"
+      };
+      const int crashes = domain(window.crash, false, false);
+      const int cuts = domain(false, window.partition, false);
+      const int drops = domain(false, false, window.drops);
+      int cases = 0, violations = 0;
+      for (int c = -1; c < crashes; ++c)
+        for (int p = -1; p < cuts; ++p)
+          for (int d = -1; d < drops; ++d) {
+            const torture::RunResult run =
+                engine.run_plan(torture::build_explore_case(window, c, p, d));
+            if (!run.passed()) ++violations;
+            std::printf(
+                "%d %016llx\n", ++cases,
+                static_cast<unsigned long long>(run.report.trace_digest));
+          }
+      std::printf("explored %d cases: %d violation%s\n", cases, violations,
+                  violations == 1 ? "" : "s");
+      return violations == 0 ? 0 : 1;
+    }
     std::printf(
         "exploring %d processes x %d rounds x %d buckets "
         "(%d cases, guard %s)\n",
