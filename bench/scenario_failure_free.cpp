@@ -44,7 +44,7 @@ void timewheel_row(int n) {
       static_cast<double>(stats.total.sent - total0) / secs);
 }
 
-template <typename Protocol, typename Config>
+template <typename Protocol>
 void baseline_row(const char* name, int n, net::MsgKind main_kind) {
   net::SimClusterConfig cc;
   cc.n = n;
@@ -52,8 +52,7 @@ void baseline_row(const char* name, int n, net::MsgKind main_kind) {
   net::SimCluster cluster(cc);
   std::vector<std::unique_ptr<Protocol>> nodes;
   for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
-    nodes.push_back(std::make_unique<Protocol>(cluster.endpoint(p),
-                                               Config{}, nullptr));
+    nodes.push_back(std::make_unique<Protocol>(cluster.endpoint(p)));
     cluster.bind(p, *nodes.back());
   }
   cluster.start();
@@ -82,10 +81,10 @@ int main() {
       "membership/s = datagrams of the membership layer per second");
   for (int n : {3, 5, 7, 9, 13}) {
     timewheel_row(n);
-    baseline_row<baseline::HeartbeatMembership, baseline::HeartbeatConfig>(
-        "heartbeat", n, net::MsgKind::heartbeat);
-    baseline_row<baseline::AttendanceRing, baseline::AttendanceConfig>(
-        "attendance", n, net::MsgKind::attendance_token);
+    baseline_row<baseline::HeartbeatMembership>("heartbeat", n,
+                                                net::MsgKind::heartbeat);
+    baseline_row<baseline::AttendanceRing>("attendance", n,
+                                           net::MsgKind::attendance_token);
   }
   std::printf(
       "\nExpected shape: timewheel membership/s == 0 (decisions belong to\n"

@@ -91,7 +91,7 @@ void heartbeat_contrast(int n) {
     int installs = 0;
     for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
       nodes.push_back(std::make_unique<baseline::HeartbeatMembership>(
-          cluster.endpoint(p), baseline::HeartbeatConfig{},
+          cluster.endpoint(p),
           [&installs](std::uint64_t, util::ProcessSet) { ++installs; }));
       cluster.bind(p, *nodes.back());
     }

@@ -85,7 +85,7 @@ Result timewheel_double(int n) {
   return res;
 }
 
-template <typename Protocol, typename Config>
+template <typename Protocol>
 Result baseline_single(int n, std::uint64_t seed_base) {
   Result res;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -98,7 +98,7 @@ Result baseline_single(int n, std::uint64_t seed_base) {
     util::ProcessSet expected;
     for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
       nodes.push_back(std::make_unique<Protocol>(
-          cluster.endpoint(p), Config{},
+          cluster.endpoint(p),
           [&installed, &expected, &cluster, p](std::uint64_t,
                                                util::ProcessSet m) {
             if (!expected.empty() && m == expected && installed[p] < 0)
@@ -153,12 +153,10 @@ int main() {
       print_result("timewheel 2-crash", n, timewheel_double(n));
     print_result(
         "heartbeat 1-crash", n,
-        baseline_single<baseline::HeartbeatMembership,
-                        baseline::HeartbeatConfig>(n, 500));
+        baseline_single<baseline::HeartbeatMembership>(n, 500));
     print_result(
         "attendance 1-crash", n,
-        baseline_single<baseline::AttendanceRing,
-                        baseline::AttendanceConfig>(n, 900));
+        baseline_single<baseline::AttendanceRing>(n, 900));
   }
   std::printf(
       "\nExpected shape: timewheel single-crash recovery within roughly a\n"

@@ -7,12 +7,19 @@ namespace {
 constexpr std::uint8_t kAnnounce = 0;
 constexpr std::uint8_t kToken = 1;
 constexpr std::uint8_t kCommit = 2;
+
+/// A member must forward the token within this after receiving it.
+constexpr sim::Duration kHoldTime = sim::msec(25);
+/// Token considered lost if silent for this long.
+constexpr sim::Duration kTokenTimeout = sim::msec(150);
+/// Announcement period during re-formation.
+constexpr sim::Duration kAnnouncePeriod = sim::msec(30);
+/// Announcements stay fresh for this long.
+constexpr sim::Duration kAnnounceWindow = sim::msec(120);
 }  // namespace
 
-AttendanceRing::AttendanceRing(net::Endpoint& endpoint, AttendanceConfig cfg,
-                               ViewCallback on_view)
+AttendanceRing::AttendanceRing(net::Endpoint& endpoint, ViewCallback on_view)
     : ep_(endpoint),
-      cfg_(cfg),
       on_view_(std::move(on_view)),
       n_(endpoint.team_size()) {
   announced_.resize(static_cast<std::size_t>(n_), -1);
@@ -68,11 +75,11 @@ void AttendanceRing::announce() {
 }
 
 void AttendanceRing::watchdog() {
-  timer_ = ep_.set_timer_after(cfg_.announce_period, [this] { watchdog(); });
+  timer_ = ep_.set_timer_after(kAnnouncePeriod, [this] { watchdog(); });
   const sim::ClockTime now = ep_.hw_now();
   if (!reforming_) {
     if (last_token_time_ >= 0 &&
-        now - last_token_time_ > cfg_.token_timeout) {
+        now - last_token_time_ > kTokenTimeout) {
       // Token lost: no diagnosis, no masking — full re-formation. This is
       // exactly the cost the timewheel's single-failure fast path avoids.
       enter_reformation();
@@ -85,7 +92,7 @@ void AttendanceRing::watchdog() {
   present.insert(ep_.self());
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q)
     if (q != ep_.self() && announced_[q] >= 0 &&
-        now - announced_[q] <= cfg_.announce_window)
+        now - announced_[q] <= kAnnounceWindow)
       present.insert(q);
   if (present.is_majority_of(n_) && present.min() == ep_.self()) {
     util::ByteWriter w;
@@ -100,7 +107,7 @@ void AttendanceRing::watchdog() {
 
 void AttendanceRing::forward_token_later(std::uint64_t token_seq) {
   if (hold_timer_ != net::kNoTimer) ep_.cancel_timer(hold_timer_);
-  hold_timer_ = ep_.set_timer_after(cfg_.hold_time, [this, token_seq] {
+  hold_timer_ = ep_.set_timer_after(kHoldTime, [this, token_seq] {
     hold_timer_ = net::kNoTimer;
     if (reforming_ || !in_group()) return;
     util::ByteWriter w;

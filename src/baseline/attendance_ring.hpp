@@ -19,24 +19,12 @@
 
 namespace tw::baseline {
 
-struct AttendanceConfig {
-  /// A member must forward the token within this after receiving it.
-  sim::Duration hold_time = sim::msec(25);
-  /// Token considered lost if silent for this long.
-  sim::Duration token_timeout = sim::msec(150);
-  /// Announcement period during re-formation.
-  sim::Duration announce_period = sim::msec(30);
-  /// Announcements stay fresh for this long.
-  sim::Duration announce_window = sim::msec(120);
-};
-
 class AttendanceRing final : public net::Handler {
  public:
   using ViewCallback = std::function<void(std::uint64_t view_id,
                                           util::ProcessSet members)>;
 
-  AttendanceRing(net::Endpoint& endpoint, AttendanceConfig cfg,
-                 ViewCallback on_view = {});
+  explicit AttendanceRing(net::Endpoint& endpoint, ViewCallback on_view = {});
 
   void on_start() override;
   void on_datagram(ProcessId from, std::span<const std::byte> data) override;
@@ -56,7 +44,6 @@ class AttendanceRing final : public net::Handler {
   void install(std::uint64_t view_id, util::ProcessSet members);
 
   net::Endpoint& ep_;
-  AttendanceConfig cfg_;
   ViewCallback on_view_;
   int n_;
 

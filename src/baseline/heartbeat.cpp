@@ -2,11 +2,18 @@
 
 namespace tw::baseline {
 
+namespace {
+/// Interval between a member's heartbeats.
+constexpr sim::Duration kHeartbeatPeriod = sim::msec(30);
+/// Heartbeat periods of silence after which a member is suspected.
+constexpr int kTimeoutPeriods = 3;
+/// A proposed view is aborted if not committed within this.
+constexpr sim::Duration kProposalTimeout = sim::msec(200);
+}  // namespace
+
 HeartbeatMembership::HeartbeatMembership(net::Endpoint& endpoint,
-                                         HeartbeatConfig cfg,
                                          ViewCallback on_view)
     : ep_(endpoint),
-      cfg_(cfg),
       on_view_(std::move(on_view)),
       n_(endpoint.team_size()) {
   last_heard_.resize(static_cast<std::size_t>(n_), -1);
@@ -32,7 +39,7 @@ ProcessId HeartbeatMembership::coordinator() const {
 util::ProcessSet HeartbeatMembership::alive(sim::ClockTime now) const {
   util::ProcessSet set;
   set.insert(ep_.self());
-  const sim::Duration window = cfg_.period * cfg_.timeout_periods;
+  const sim::Duration window = kHeartbeatPeriod * kTimeoutPeriods;
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q)
     if (q != ep_.self() && last_heard_[q] >= 0 &&
         now - last_heard_[q] <= window)
@@ -49,14 +56,14 @@ void HeartbeatMembership::send_heartbeat() {
 }
 
 void HeartbeatMembership::tick() {
-  tick_timer_ = ep_.set_timer_after(cfg_.period, [this] { tick(); });
+  tick_timer_ = ep_.set_timer_after(kHeartbeatPeriod, [this] { tick(); });
   send_heartbeat();
   maybe_change_view(ep_.hw_now());
 }
 
 void HeartbeatMembership::maybe_change_view(sim::ClockTime now) {
   // Abort a stuck proposal.
-  if (proposal_.active && now - proposal_.proposed_at > cfg_.proposal_timeout)
+  if (proposal_.active && now - proposal_.proposed_at > kProposalTimeout)
     proposal_ = ViewProposal{};
   if (coordinator() != ep_.self() || proposal_.active) return;
 

@@ -1,10 +1,10 @@
 // Heartbeat membership — the conventional comparator (JGroups/Spread
 // lineage) for the paper's failure-free-cost and recovery-latency claims.
 //
-// Every member broadcasts a heartbeat each `period`; a member silent for
-// `timeout_periods` periods is suspected. The lowest-id unsuspected member
-// acts as coordinator and drives a two-phase view change (PROPOSE → ACK from
-// a majority → COMMIT). Contrast with the timewheel protocol:
+// Every member broadcasts a heartbeat every 30 ms; a member silent for
+// three periods is suspected. The lowest-id unsuspected member acts as
+// coordinator and drives a two-phase view change (PROPOSE → ACK from a
+// majority → COMMIT). Contrast with the timewheel protocol:
 //  - failure-free cost: Θ(N) heartbeats per period, i.e. Θ(N²) datagrams —
 //    the timewheel membership layer sends zero;
 //  - a false suspicion triggers a full view change (the suspect is dropped
@@ -21,20 +21,13 @@
 
 namespace tw::baseline {
 
-struct HeartbeatConfig {
-  sim::Duration period = sim::msec(30);
-  int timeout_periods = 3;
-  /// A proposed view is aborted if not committed within this.
-  sim::Duration proposal_timeout = sim::msec(200);
-};
-
 class HeartbeatMembership final : public net::Handler {
  public:
   using ViewCallback = std::function<void(std::uint64_t view_id,
                                           util::ProcessSet members)>;
 
-  HeartbeatMembership(net::Endpoint& endpoint, HeartbeatConfig cfg,
-                      ViewCallback on_view = {});
+  explicit HeartbeatMembership(net::Endpoint& endpoint,
+                               ViewCallback on_view = {});
 
   void on_start() override;
   void on_datagram(ProcessId from, std::span<const std::byte> data) override;
@@ -67,7 +60,6 @@ class HeartbeatMembership final : public net::Handler {
   void handle_commit(ProcessId from, util::ByteReader& r);
 
   net::Endpoint& ep_;
-  HeartbeatConfig cfg_;
   ViewCallback on_view_;
   int n_;
 

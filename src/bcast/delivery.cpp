@@ -385,11 +385,6 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
   return out;
 }
 
-ProposalSeq DeliveryEngine::max_ordered_seq(ProcessId proposer) const {
-  const auto it = max_ordered_seq_.find(proposer);
-  return it == max_ordered_seq_.end() ? 0 : it->second;
-}
-
 std::vector<const Proposal*> DeliveryEngine::stale_unordered_from(
     ProcessId proposer, sim::ClockTime sync_now, sim::Duration age) const {
   std::vector<const Proposal*> out;

@@ -132,10 +132,6 @@ class DeliveryEngine {
   /// keep treating it as fresh. Returns false if unknown/ordered.
   bool restamp_unordered(ProposalId pid, sim::ClockTime now);
 
-  /// Highest sequence of `proposer` ever assigned an ordinal (kNoSeq if
-  /// none). Persistent across oal window purges.
-  [[nodiscard]] ProposalSeq max_ordered_seq(ProcessId proposer) const;
-
   /// Own proposals still lacking an ordinal whose send timestamp is older
   /// than `age` — the proposer re-broadcasts these until some decider
   /// orders them (loss recovery for proposals not yet in any oal).

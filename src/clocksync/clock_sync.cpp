@@ -10,6 +10,11 @@
 
 namespace tw::csync {
 
+namespace {
+/// Interval between a process's clock-reading rounds.
+constexpr sim::Duration kRoundPeriod = sim::msec(250);
+}  // namespace
+
 sim::Duration Config::epsilon() const {
   // Max accepted reading error: rtt/2 − min_delay with rtt ≤ 2δ, i.e.
   // δ − min_delay; plus drift accumulated over a full lease on both sides.
@@ -64,7 +69,7 @@ void ClockSync::run_round() {
               static_cast<std::uint64_t>(median_offset_));
   }
   send_request();
-  round_timer_ = ep_.set_timer_after(cfg_.period, [this] { run_round(); });
+  round_timer_ = ep_.set_timer_after(kRoundPeriod, [this] { run_round(); });
 }
 
 void ClockSync::on_datagram(ProcessId from, net::MsgKind kind,

@@ -8,15 +8,15 @@
 //      (fail-awareness) — a process that cannot keep its clock synchronized
 //      is removed from the group and rejoins later.
 //
-// Mechanism: every `period` each process broadcasts a timestamped request;
-// peers reply with their hardware clock reading. A reply whose round trip
-// exceeded 2δ may have been late in either direction, so it is REJECTED —
-// this is the fail-aware filter that makes remote clock reading safe in a
-// timed asynchronous system. Accepted readings give remote-clock offsets
-// with error ≤ rtt/2 − min_delay (+ drift slop). A process holding fresh
-// (unexpired) readings from a majority of the team sets its synchronized
-// clock to hardware clock + median offset; otherwise the clock is
-// out-of-date and now() returns nullopt.
+// Mechanism: every round (250 ms) each process broadcasts a timestamped
+// request; peers reply with their hardware clock reading. A reply whose
+// round trip exceeded 2δ may have been late in either direction, so it is
+// REJECTED — this is the fail-aware filter that makes remote clock reading
+// safe in a timed asynchronous system. Accepted readings give remote-clock
+// offsets with error ≤ rtt/2 − min_delay (+ drift slop). A process holding
+// fresh (unexpired) readings from a majority of the team sets its
+// synchronized clock to hardware clock + median offset; otherwise the clock
+// is out-of-date and now() returns nullopt.
 //
 // The median over a majority makes any two up-to-date clocks agree within
 // ε = 2·(max reading error) + 2ρ·lease: both medians are sandwiched between
@@ -34,7 +34,6 @@
 namespace tw::csync {
 
 struct Config {
-  sim::Duration period = sim::msec(250);     ///< round interval
   sim::Duration min_delay = sim::usec(200);  ///< network min one-way delay
   sim::Duration delta = sim::msec(10);       ///< one-way timeout delay δ
   sim::Duration lease = sim::msec(1500);     ///< reading freshness window

@@ -46,8 +46,6 @@ void EventLoop::watch_fd(int fd, std::function<void()> on_readable) {
   fd_handlers_[fd] = std::move(on_readable);
 }
 
-void EventLoop::unwatch_fd(int fd) { fd_handlers_.erase(fd); }
-
 void EventLoop::set_recorder(obs::Recorder* recorder) {
   if (metrics_registry_ != nullptr) {
     metrics_registry_->unregister_source(wheel_source_);

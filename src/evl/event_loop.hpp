@@ -58,7 +58,6 @@ class EventLoop {
 
   /// Invoke `on_readable` whenever fd becomes readable.
   void watch_fd(int fd, std::function<void()> on_readable);
-  void unwatch_fd(int fd);
 
   sim::EventId add_timer_at(std::int64_t mono_us, std::function<void()> fn);
   sim::EventId add_timer_after(sim::Duration d, std::function<void()> fn);

@@ -36,10 +36,6 @@ struct NodeConfig {
   /// acknowledges all of a batch's proposals collectively, so FIFO and
   /// fifo_floor semantics are unchanged.
   int max_batch = 1;
-  /// Release delay Δ for time-ordered delivery: a time-ordered update is
-  /// delivered at send_ts + deliver_delay on the synchronized clock.
-  /// Should exceed δ + ε so every member has the update by release time.
-  sim::Duration deliver_delay = sim::msec(60);
   /// Clock-synchronization service parameters.
   csync::Config clock;
   /// How many state-transfer solicitations a joiner / re-baselining member

@@ -70,7 +70,7 @@ void GroupEndpoint::trace(sim::TraceKind kind, std::uint64_t a,
 // ---------------------------------------------------------------------------
 
 GroupRuntime::GroupRuntime(net::Endpoint& endpoint, GroupRuntimeConfig cfg)
-    : ep_(endpoint), cfg_(cfg), router_(cfg.router_vnodes) {
+    : ep_(endpoint), cfg_(cfg) {
   if (obs::Recorder* rec = ep_.obs()) {
     if (obs::Registry* reg = rec->registry()) {
       stats_source_ = reg->register_source(

@@ -25,16 +25,12 @@ std::uint64_t point_hash(net::GroupTag tag, int replica) {
 
 }  // namespace
 
-ConsistentHashRouter::ConsistentHashRouter(int vnodes) : vnodes_(vnodes) {
-  TW_ASSERT(vnodes >= 1);
-}
-
 void ConsistentHashRouter::add_group(net::GroupTag tag) {
   if (std::any_of(ring_.begin(), ring_.end(),
                   [tag](const Point& p) { return p.tag == tag; }))
     return;
-  ring_.reserve(ring_.size() + static_cast<std::size_t>(vnodes_));
-  for (int r = 0; r < vnodes_; ++r)
+  ring_.reserve(ring_.size() + static_cast<std::size_t>(kVnodes));
+  for (int r = 0; r < kVnodes; ++r)
     ring_.push_back(Point{point_hash(tag, r), tag});
   std::sort(ring_.begin(), ring_.end(),
             [](const Point& a, const Point& b) {

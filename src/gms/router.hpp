@@ -1,7 +1,7 @@
 // Consistent-hash router: client keys → hosted groups.
 //
 // The multi-group runtime shards a keyspace across its groups. Routing is
-// a classic consistent-hash ring: every group owns `vnodes` pseudo-random
+// a classic consistent-hash ring: every group owns kVnodes pseudo-random
 // points on a 64-bit ring, and a key routes to the group owning the first
 // point at or after hash(key). Two properties matter here:
 //
@@ -26,9 +26,9 @@ namespace tw::gms {
 
 class ConsistentHashRouter {
  public:
-  /// `vnodes` points per group on the ring. More vnodes → flatter
-  /// distribution, linearly more memory and a log factor on add/remove.
-  explicit ConsistentHashRouter(int vnodes = 64);
+  /// Points per group on the ring. More vnodes → flatter distribution,
+  /// linearly more memory and a log factor on add/remove.
+  static constexpr int kVnodes = 64;
 
   /// Idempotent; re-adding an existing tag is a no-op.
   void add_group(net::GroupTag tag);
@@ -51,7 +51,6 @@ class ConsistentHashRouter {
     net::GroupTag tag;
   };
 
-  int vnodes_;
   std::size_t groups_ = 0;
   std::vector<Point> ring_;  ///< sorted by hash
 };

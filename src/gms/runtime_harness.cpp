@@ -7,14 +7,17 @@ namespace tw::gms {
 
 namespace {
 
+/// Hardware-clock drift bound of the simulated processes.
+constexpr double kRho = 1e-5;
+
 net::SimClusterConfig cluster_config(const RuntimeHarnessConfig& cfg) {
   net::SimClusterConfig cc;
   cc.n = cfg.n;
   cc.seed = cfg.seed;
   cc.delays = cfg.delays;
   cc.sched = cfg.sched;
-  cc.rho = cfg.perfect_clocks ? 0.0 : cfg.rho;
-  cc.max_clock_offset = cfg.perfect_clocks ? 0 : cfg.max_clock_offset;
+  cc.rho = cfg.perfect_clocks ? 0.0 : kRho;
+  cc.max_clock_offset = cfg.perfect_clocks ? 0 : kHarnessClockOffset;
   return cc;
 }
 
@@ -26,7 +29,7 @@ RuntimeHarness::RuntimeHarness(RuntimeHarnessConfig cfg)
   cfg_.node.delta = cfg_.delays.delta;
   cfg_.node.sigma = cfg_.sched.sigma;
   cfg_.node.clock.perfect = cfg_.perfect_clocks;
-  cfg_.node.clock.rho = cfg_.rho;
+  cfg_.node.clock.rho = kRho;
   cfg_.node.clock.min_delay = cfg_.delays.min_delay;
 
   const auto n = static_cast<std::size_t>(cfg_.n);
@@ -36,7 +39,6 @@ RuntimeHarness::RuntimeHarness(RuntimeHarnessConfig cfg)
 
   GroupRuntimeConfig rc;
   rc.group_budget_bytes = cfg_.group_budget_bytes;
-  rc.router_vnodes = cfg_.router_vnodes;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
     runtimes_.push_back(
         std::make_unique<GroupRuntime>(cluster_.endpoint(p), rc));

@@ -28,14 +28,11 @@ struct RuntimeHarnessConfig {
   NodeConfig node;
   sim::DelayModel delays;
   sim::SchedModel sched;
-  double rho = 1e-5;
-  sim::ClockTime max_clock_offset = sim::msec(500);
   /// Perfect clock-sync mode: ClockSync sends nothing, which is what makes
   /// thousands of co-hosted groups simulable (csync traffic would dwarf
   /// the payload traffic G-fold otherwise).
   bool perfect_clocks = false;
   std::size_t group_budget_bytes = 0;  ///< per-group budget; 0 = unlimited
-  int router_vnodes = 64;
 };
 
 class RuntimeHarness {

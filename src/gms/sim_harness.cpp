@@ -16,7 +16,7 @@ net::SimClusterConfig cluster_config(const HarnessConfig& cfg) {
   cc.delays = cfg.delays;
   cc.sched = cfg.sched;
   cc.rho = cfg.perfect_clocks ? 0.0 : cfg.rho;
-  cc.max_clock_offset = cfg.perfect_clocks ? 0 : cfg.max_clock_offset;
+  cc.max_clock_offset = cfg.perfect_clocks ? 0 : kHarnessClockOffset;
   return cc;
 }
 
@@ -146,36 +146,6 @@ bool SimHarness::run_until_group(util::ProcessSet members,
     if (ok) return true;
   }
   return false;
-}
-
-util::ProcessSet SimHarness::run_until_any_stable_group(
-    sim::SimTime deadline) {
-  const sim::Duration step = sim::msec(10);
-  while (now() < deadline) {
-    run_for(step);
-    // Find a candidate group from any live in-group node.
-    util::ProcessSet candidate;
-    GroupId gid = 0;
-    for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
-      if (cluster_.processes().is_up(p) && nodes_[p]->in_group()) {
-        candidate = nodes_[p]->group();
-        gid = nodes_[p]->group_id();
-        break;
-      }
-    }
-    if (candidate.empty()) continue;
-    bool ok = true;
-    for (ProcessId p : candidate) {
-      if (!cluster_.processes().is_up(p) || !nodes_[p]->in_group() ||
-          !(nodes_[p]->group() == candidate) ||
-          nodes_[p]->group_id() != gid) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return candidate;
-  }
-  return {};
 }
 
 void SimHarness::propose(ProcessId p, std::uint64_t tag, bcast::Order order,

@@ -16,6 +16,10 @@
 
 namespace tw::gms {
 
+/// Bound on the processes' initial hardware-clock skew in both harnesses
+/// (0 with perfect clocks).
+inline constexpr sim::ClockTime kHarnessClockOffset = sim::msec(500);
+
 struct HarnessConfig {
   int n = 5;
   std::uint64_t seed = 1;
@@ -23,8 +27,8 @@ struct HarnessConfig {
   sim::DelayModel delays;
   sim::SchedModel sched;
   double rho = 1e-5;
-  sim::ClockTime max_clock_offset = sim::msec(500);
-  /// Use the perfect clock-sync mode (requires max_clock_offset == 0).
+  /// Use the perfect clock-sync mode: identical hardware clocks (no skew,
+  /// no drift) and a clock-sync service that sends nothing.
   bool perfect_clocks = false;
   /// Give every node a StableStore over an in-memory write-back storage
   /// whose unsynced tail is rolled back on crash (power-loss semantics).
@@ -144,10 +148,6 @@ class SimHarness {
   /// `members` with a common group id, or until the deadline. Returns true
   /// on success.
   bool run_until_group(util::ProcessSet members, sim::SimTime deadline);
-
-  /// Run until every live member agrees on SOME common group; returns its
-  /// members (empty set on timeout). Crashed processes are ignored.
-  util::ProcessSet run_until_any_stable_group(sim::SimTime deadline);
 
   /// Propose from p with the given semantics; payload is a small tagged
   /// blob (tag echoed back in DeliveryRecord::payload[0..7]).

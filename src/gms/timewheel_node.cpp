@@ -31,6 +31,10 @@ constexpr int kJoinFallbackCycles = 6;
 /// from flapping at a boundary.
 constexpr std::size_t kOverloadHiPct = 75;
 constexpr std::size_t kOverloadLoPct = 50;
+/// Release delay Δ for time-ordered delivery: a time-ordered update is
+/// delivered at send_ts + Δ on the synchronized clock. Must exceed δ + ε
+/// so every member has the update by release time.
+constexpr sim::Duration kDeliverDelay = sim::msec(60);
 
 }  // namespace
 
@@ -45,7 +49,7 @@ TimewheelNode::TimewheelNode(net::Endpoint& endpoint, NodeConfig cfg,
       clock_(endpoint, (cfg_.propagate_clock_params(), cfg_.clock),
              [this](bool s) { on_clock_sync_change(s); }),
       fd_(endpoint.self(), n_, cfg_.slot_len()),
-      delivery_(endpoint.self(), cfg_.deliver_delay,
+      delivery_(endpoint.self(), kDeliverDelay,
                 [this](const bcast::Proposal& p, Ordinal o) {
                   deliver_to_app(p, o);
                 }) {
@@ -156,7 +160,6 @@ void TimewheelNode::full_reset() {
   my_recon_list_.clear();
   abstain_until_ = -1;
   sent_nd_this_episode_ = false;
-  awaiting_exit_decisions_ = false;
   exit_decisions_needed_.clear();
   awaiting_state_ = false;
   buffered_deliveries_.clear();
@@ -447,7 +450,7 @@ void TimewheelNode::on_housekeeping() {
                   << ": election stalled; falling back to join state");
       enter_join();
       installed_ = false;
-      awaiting_exit_decisions_ = false;
+      exit_decisions_needed_.clear();
       suspect_ = kNoProcess;
       stand_down();
       n_failure_since_ = -1;
@@ -471,9 +474,12 @@ void TimewheelNode::on_datagram(ProcessId from,
       return;
     }
     switch (kind) {
-      case net::MsgKind::decision:
-        handle_decision(from, bcast::Decision::decode(r));
+      case net::MsgKind::decision: {
+        bcast::Decision d = bcast::Decision::decode(r);
+        check_in_team({d.decider}, {d.group, d.alive, d.joiners});
+        handle_decision(from, std::move(d));
         break;
+      }
       case net::MsgKind::proposal: {
         const bcast::Proposal p = bcast::decode_proposal(r);
         handle_proposals(from, {&p, 1});
@@ -482,15 +488,24 @@ void TimewheelNode::on_datagram(ProcessId from,
       case net::MsgKind::proposal_batch:
         handle_proposals(from, bcast::decode_proposal_batch(r));
         break;
-      case net::MsgKind::no_decision:
-        handle_no_decision(from, NoDecision::decode(r));
+      case net::MsgKind::no_decision: {
+        NoDecision nd = NoDecision::decode(r);
+        check_in_team({nd.suspect}, {nd.alive});
+        handle_no_decision(from, std::move(nd));
         break;
-      case net::MsgKind::join:
-        handle_join(from, Join::decode(r));
+      }
+      case net::MsgKind::join: {
+        Join j = Join::decode(r);
+        check_in_team({}, {j.join_list});
+        handle_join(from, std::move(j));
         break;
-      case net::MsgKind::reconfiguration:
-        handle_reconfiguration(from, Reconfiguration::decode(r));
+      }
+      case net::MsgKind::reconfiguration: {
+        Reconfiguration rc = Reconfiguration::decode(r);
+        check_in_team({}, {rc.recon_list, rc.last_group, rc.alive});
+        handle_reconfiguration(from, std::move(rc));
         break;
+      }
       case net::MsgKind::state_transfer:
         handle_state_transfer(from, StateTransfer::decode(r));
         break;
@@ -510,6 +525,19 @@ void TimewheelNode::on_datagram(ProcessId from,
     TW_WARN("p" << self() << ": dropping malformed datagram from " << from
                 << ": " << e.what());
   }
+}
+
+void TimewheelNode::check_in_team(
+    std::initializer_list<ProcessId> ids,
+    std::initializer_list<util::ProcessSet> sets) const {
+  const util::ProcessSet team =
+      util::ProcessSet::full(static_cast<ProcessId>(n_));
+  for (const ProcessId p : ids)
+    if (!team.contains(p))
+      throw util::DecodeError("process id outside the team");
+  for (const util::ProcessSet& s : sets)
+    if (!s.subset_of(team))
+      throw util::DecodeError("process set outside the team");
 }
 
 // ---------------------------------------------------------------------------
@@ -692,7 +720,7 @@ void TimewheelNode::handle_decision(ProcessId from, bcast::Decision d) {
     install_view(d.gid, d.group, now, d.joiners.contains(self()));
 
   // Exclusion-wait bookkeeping (we may re-enter while waiting).
-  awaiting_exit_decisions_ = false;
+  exit_decisions_needed_.clear();
 
   // Broadcast bookkeeping.
   const auto adopt = delivery_.adopt_oal(d.oal, d.gid);
@@ -769,14 +797,10 @@ void TimewheelNode::handle_exclusion(const bcast::Decision& d, ProcessId from,
     // Delayed switch to join: "it waits until it has received a decision
     // message from all new group members" so it can still participate in a
     // quick follow-up election (§4.2).
-    if (!awaiting_exit_decisions_) {
-      awaiting_exit_decisions_ = true;
-      exit_decisions_needed_ = d.group;
-    }
+    if (exit_decisions_needed_.empty()) exit_decisions_needed_ = d.group;
     exit_decisions_needed_.erase(from);
     exit_decisions_needed_.erase(d.decider);
     if (exit_decisions_needed_.empty()) {
-      awaiting_exit_decisions_ = false;
       n_failure_since_ = -1;
       enter_join();
     }
@@ -887,7 +911,7 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   // the cross-epoch rebind instead of silently merging.
   oal.set_epoch(gid_);
   order_pending_proposals(oal, now);
-  oal.purge_stable(group_, now, cfg_.deliver_delay, slots_.cycle_len());
+  oal.purge_stable(group_, now, kDeliverDelay, slots_.cycle_len());
   emit_decision(std::move(oal), joiners, now);
 }
 
@@ -1566,7 +1590,7 @@ util::ProcessSet TimewheelNode::current_recon_list(std::int64_t slot) const {
 
 void TimewheelNode::reconfiguration_slot_duties(sim::ClockTime now,
                                                 std::int64_t slot) {
-  if (awaiting_exit_decisions_) return;  // excluded; just wait
+  if (!exit_decisions_needed_.empty()) return;  // excluded; just wait
   if (abstain_until_ >= 0 && now < abstain_until_) {
     send_reconfiguration(now, /*abstain=*/true);
     return;
@@ -1942,10 +1966,7 @@ void TimewheelNode::note_forked_lineage(
 }
 
 sim::Duration TimewheelNode::retry_backoff(int attempt) const {
-  const sim::Duration base = slots_.cycle_len();
-  const int shift = attempt < 2 ? attempt : 2;
-  const sim::Duration d = base << shift;
-  return d < 4 * base ? d : 4 * base;
+  return slots_.cycle_len() << std::min(attempt, 2);
 }
 
 sim::Duration TimewheelNode::retry_jitter(int attempt) const {

@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -154,9 +155,6 @@ class TimewheelNode final : public net::Handler {
     return delivery_;
   }
   [[nodiscard]] const FailureDetector& failure_detector() const { return fd_; }
-  /// The communication-closed round choke point (all inbound control
-  /// traffic is classified by it; see gms/round.hpp).
-  [[nodiscard]] const RoundGate& round_gate() const { return round_; }
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   /// True from a crash recovery until a state transfer (or an election we
@@ -208,6 +206,11 @@ class TimewheelNode final : public net::Handler {
   void on_clock_sync_change(bool synchronized);
 
   // --- message handlers ----------------------------------------------------
+  /// Rejects, as a util::DecodeError, a control message whose header names
+  /// a process outside the team: the decoders cannot know n, and these ids
+  /// index per-member state. Runs before the round gate.
+  void check_in_team(std::initializer_list<ProcessId> ids,
+                     std::initializer_list<util::ProcessSet> sets) const;
   void handle_decision(ProcessId from, bcast::Decision d);
   /// A proposal or proposal_batch datagram (a proposal is a batch of one).
   void handle_proposals(ProcessId from, std::span<const bcast::Proposal> ps);
@@ -319,7 +322,8 @@ class TimewheelNode final : public net::Handler {
   /// or no donor): mark the delivered history forked so re-integration
   /// re-baselines instead of trusting our replica state.
   void note_forked_lineage(const bcast::DeliveryEngine::AdoptOutcome& outcome);
-  /// Exponential backoff (capped) for solicitation retries.
+  /// Exponential backoff for solicitation retries: one, two, then four
+  /// cycles.
   [[nodiscard]] sim::Duration retry_backoff(int attempt) const;
   /// Deterministic per-process jitter so healed teams don't retry in
   /// lockstep (derived from self/incarnation/attempt; no RNG, replayable).
@@ -447,8 +451,9 @@ class TimewheelNode final : public net::Handler {
   };
   std::vector<ElectionInfo> nd_infos_;
 
-  // Delayed switch to join (n-failure exclusion, paper §4.2).
-  bool awaiting_exit_decisions_ = false;
+  // Delayed switch to join (n-failure exclusion, paper §4.2): the new
+  // group's members whose decision we still await; non-empty exactly
+  // while an excluded n-failure member waits.
   util::ProcessSet exit_decisions_needed_;
 
   // Joiner-side state transfer: buffer app deliveries between installing a

@@ -140,28 +140,8 @@ SimCluster::SimCluster(const SimClusterConfig& cfg)
         for (std::size_t p = 0; p < s.sent_by_process.size(); ++p)
           out["net.p" + std::to_string(p) + ".sent"] = s.sent_by_process[p];
       });
-  // The counting-allocator hook of the zero-copy codec: snapshots expose
-  // this thread's buffer-pool traffic, so benches can report allocs/msg.
-  // (Stats are per-thread and process-cumulative; diff two snapshots to
-  // meter one run.)
-  codec_stats_source_ =
-      registry_.register_source([](std::map<std::string,
-                                            std::uint64_t>& out) {
-        const util::BufferPool::Stats& s = util::BufferPool::local().stats();
-        out["codec.acquires"] = s.acquires;
-        out["codec.reuses"] = s.reuses;
-        out["codec.allocs"] = s.allocs;
-        out["codec.releases"] = s.releases;
-        out["codec.discards"] = s.discards;
-        // Pool-health view of the same traffic: misses (freelist empty →
-        // heap alloc) and growth are the exhaustion signals; retained is
-        // how much capacity idles in the freelist right now.
-        out["util.pool.hits"] = s.reuses;
-        out["util.pool.misses"] = s.acquires - s.reuses;
-        out["util.pool.grew"] = s.allocs;
-        out["util.pool.retained_bytes"] =
-            util::BufferPool::local().retained_bytes();
-      });
+  pool_stats_source_ =
+      registry_.register_source(util::BufferPool::export_local_stats);
 }
 
 void SimCluster::set_send_budget(std::size_t bytes_per_window,
@@ -174,7 +154,7 @@ void SimCluster::set_send_budget(std::size_t bytes_per_window,
 
 SimCluster::~SimCluster() {
   registry_.unregister_source(net_stats_source_);
-  registry_.unregister_source(codec_stats_source_);
+  registry_.unregister_source(pool_stats_source_);
 }
 
 std::vector<obs::Event> SimCluster::merged_trace() const {

@@ -101,7 +101,7 @@ class SimCluster {
   obs::Registry registry_;  // must outlive recorders_ and the stacks
   std::vector<std::unique_ptr<obs::Recorder>> recorders_;
   obs::Registry::SourceId net_stats_source_ = 0;
-  obs::Registry::SourceId codec_stats_source_ = 0;
+  obs::Registry::SourceId pool_stats_source_ = 0;
   std::vector<std::unique_ptr<SimEndpoint>> endpoints_;
 };
 

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <string>
 
-#include "net/msg_kind.hpp"
 #include "obs/timeline.hpp"
 #include "util/assert.hpp"
 #include "util/buffer_pool.hpp"
@@ -20,21 +19,11 @@
 
 namespace tw::net {
 
-namespace {
-std::uint64_t xorshift(std::uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-}  // namespace
-
 UdpEndpoint::UdpEndpoint(UdpCluster& cluster, ProcessId id)
     : cluster_(cluster),
       id_(id),
       clock_offset_(static_cast<sim::ClockTime>(id) *
                     cluster.cfg_.clock_offset_step),
-      drop_state_(cluster.cfg_.drop_seed + id * 0x9e3779b97f4a7c15ULL + 1),
       recorder_(id, [this] { return hw_now(); }, &cluster.registry_) {
   const std::string prefix = "udp.p" + std::to_string(id) + '.';
   sent_ = &cluster.registry_.counter(prefix + "sent");
@@ -42,9 +31,7 @@ UdpEndpoint::UdpEndpoint(UdpCluster& cluster, ProcessId id)
   crc_dropped_ = &cluster.registry_.counter(prefix + "crc_dropped");
   send_omitted_ = &cluster.registry_.counter(prefix + "send_omitted");
   send_soft_err_ = &cluster.registry_.counter(prefix + "send_eagain");
-  send_shed_ = &cluster.registry_.counter(prefix + "send_shed");
   recv_err_ = &cluster.registry_.counter(prefix + "recv_err");
-  send_window_.resize(static_cast<std::size_t>(cluster.cfg_.n));
   loop_.set_recorder(&recorder_);
   open_socket();
 }
@@ -99,27 +86,6 @@ void UdpEndpoint::send_raw(ProcessId to, const std::vector<std::byte>& f) {
   // Wire kind tag = first payload byte (frame is [crc][sender][payload]).
   const std::uint8_t kind =
       f.size() > 8 ? static_cast<std::uint8_t>(f[8]) : 0;
-
-  // Per-peer outbound cap (config.send_budget_bytes): a bounded send
-  // queue in front of the socket. Data frames over the cap are shed here,
-  // control frames pass regardless but still charge the window.
-  if (cluster_.cfg_.send_budget_bytes > 0 && f.size() > 8) {
-    PeerWindow& w = send_window_[static_cast<std::size_t>(to)];
-    const sim::ClockTime now = evl::EventLoop::mono_now_us();
-    if (now - w.start >= cluster_.cfg_.send_budget_window) {
-      w.start = now;
-      w.used = 0;
-    }
-    if (w.used + f.size() > cluster_.cfg_.send_budget_bytes &&
-        is_data_kind(classify_kind({f.data() + 8, f.size() - 8}))) {
-      send_shed_->inc();
-      recorder_.emit(obs::EvKind::dgram_drop,
-                     static_cast<std::uint8_t>(obs::DropReason::backpressure),
-                     to, f.size());
-      return;
-    }
-    w.used += f.size();
-  }
 
   const auto do_send = [&]() -> ssize_t {
     if (cluster_.cfg_.send_fn)
@@ -205,21 +171,12 @@ void UdpEndpoint::on_readable() {
                      static_cast<std::uint8_t>(obs::DropReason::crashed));
       continue;
     }
-    if (n < 8) {  // runt: too short to even carry the integrity header
+    if (n <= 8) {  // runt: no payload after the integrity header
       crc_dropped_->inc();
       recorder_.emit(obs::EvKind::dgram_drop,
                      static_cast<std::uint8_t>(obs::DropReason::runt), 0,
                      static_cast<std::uint64_t>(n));
       continue;
-    }
-    if (cluster_.cfg_.drop_prob > 0.0) {
-      const double u = static_cast<double>(xorshift(drop_state_) >> 11) *
-                       0x1.0p-53;
-      if (u < cluster_.cfg_.drop_prob) {  // injected omission
-        recorder_.emit(obs::EvKind::dgram_drop,
-                       static_cast<std::uint8_t>(obs::DropReason::injected));
-        continue;
-      }
     }
     const std::span<const std::byte> frame_bytes(buf, static_cast<size_t>(n));
     util::ByteReader header(frame_bytes.subspan(0, 4));
@@ -251,18 +208,10 @@ UdpCluster::UdpCluster(const UdpClusterConfig& cfg)
     if (cfg.only >= 0 && p != static_cast<ProcessId>(cfg.only)) continue;
     endpoints_.push_back(std::make_unique<UdpEndpoint>(*this, p));
   }
-  // Buffer-pool health (same keys as the sim transport). Pools are
-  // thread-local: a snapshot sees the SNAPSHOTTING thread's pool, so meter
-  // a loop thread by posting the snapshot onto it.
-  pool_stats_source_ = registry_.register_source(
-      [](std::map<std::string, std::uint64_t>& out) {
-        const util::BufferPool::Stats& s = util::BufferPool::local().stats();
-        out["util.pool.hits"] = s.reuses;
-        out["util.pool.misses"] = s.acquires - s.reuses;
-        out["util.pool.grew"] = s.allocs;
-        out["util.pool.retained_bytes"] =
-            util::BufferPool::local().retained_bytes();
-      });
+  // Pools are thread-local: a snapshot sees the SNAPSHOTTING thread's
+  // pool, so meter a loop thread by posting the snapshot onto it.
+  pool_stats_source_ =
+      registry_.register_source(util::BufferPool::export_local_stats);
 }
 
 UdpCluster::~UdpCluster() {

@@ -29,22 +29,11 @@ struct UdpClusterConfig {
   /// offset i * clock_offset_step so the clock-sync service has real skew
   /// to correct even on one host.
   sim::ClockTime clock_offset_step = sim::msec(200);
-  /// Artificial drop probability applied on receive, to exercise failure
-  /// paths over loopback (loopback itself never drops).
-  double drop_prob = 0.0;
-  std::uint64_t drop_seed = 42;
   /// When >= 0, this OS process hosts ONLY that member: one socket, one
   /// loop thread. The other n-1 members are expected to be other OS
   /// processes on the same port plan — which is what makes a REAL kill -9
   /// / restart of a single member possible (see examples/udp_cluster).
   int only = -1;
-  /// Per-peer outbound cap: at most this many frame bytes may leave an
-  /// endpoint toward one peer per send_budget_window. Data frames over
-  /// the cap are shed (udp.p<id>.send_shed, DropReason::backpressure);
-  /// control frames always pass but still charge the window — strict
-  /// priority, not free capacity. 0 = off.
-  std::size_t send_budget_bytes = 0;
-  sim::Duration send_budget_window = sim::msec(10);
   /// Test seam: replaces ::sendto for every endpoint of this cluster
   /// (unit tests mock kernel send errors with it). Receives (destination
   /// member, frame bytes, frame size); returns the sendto()-style byte
@@ -87,12 +76,6 @@ class UdpEndpoint final : public Endpoint {
   [[nodiscard]] std::uint64_t send_soft_errors() const {
     return send_soft_err_->get();
   }
-  /// Data frames shed by the per-peer outbound cap (send_budget_bytes).
-  [[nodiscard]] std::uint64_t send_shed() const { return send_shed_->get(); }
-  /// recv() failures other than would-block/interrupt since start.
-  [[nodiscard]] std::uint64_t recv_errors() const {
-    return recv_err_->get();
-  }
 
   evl::EventLoop& loop() { return loop_; }
 
@@ -111,7 +94,6 @@ class UdpEndpoint final : public Endpoint {
   evl::EventLoop loop_;
   sim::ClockTime clock_offset_ = 0;
   Handler* handler_ = nullptr;
-  std::uint64_t drop_state_;
   obs::Recorder recorder_;
   // Registry-backed counters (stable references into cluster metrics).
   obs::Counter* sent_;
@@ -119,14 +101,7 @@ class UdpEndpoint final : public Endpoint {
   obs::Counter* crc_dropped_;
   obs::Counter* send_omitted_;
   obs::Counter* send_soft_err_;
-  obs::Counter* send_shed_;
   obs::Counter* recv_err_;
-  /// Per-peer outbound budget windows (send_budget_bytes > 0).
-  struct PeerWindow {
-    sim::ClockTime start = 0;
-    std::size_t used = 0;
-  };
-  std::vector<PeerWindow> send_window_;
 };
 
 class UdpCluster {

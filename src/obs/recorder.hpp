@@ -45,9 +45,6 @@ class Recorder {
   /// offset here; subsequent records carry it so cross-process merges can
   /// order by synchronized time.
   void set_clock_correction(std::int64_t off) { clock_correction_ = off; }
-  [[nodiscard]] std::int64_t clock_correction() const {
-    return clock_correction_;
-  }
 
   [[nodiscard]] std::uint32_t pid() const { return pid_; }
   [[nodiscard]] TraceRing& ring() { return ring_; }

@@ -20,7 +20,7 @@ constexpr std::array<const char*, 25> kEvKindNames = {
 };
 
 constexpr std::array<const char*, 10> kDropReasonNames = {
-    "crc",       "runt",     "crashed", "injected", "send_fail",
+    "crc",       "runt",     "crashed", "?",        "send_fail",
     "recv_err",  "loss",     "link",    "rule",     "backpressure",
 };
 

@@ -105,7 +105,8 @@ enum class DropReason : std::uint8_t {
   crc = 0,        ///< CRC-32C integrity rejection
   runt = 1,       ///< too short to carry the frame header
   crashed = 2,    ///< receiver simulated-crashed
-  injected = 3,   ///< artificial receive-side drop (drop_prob)
+  // 3 is unused: saved traces store these numbers, so a retired reason's
+  // number is never reused.
   send_fail = 4,  ///< sendto() failed — counted as an omission
   recv_err = 5,   ///< recv() failed with a real (non-EAGAIN) errno
   loss = 6,       ///< simulated ambient omission (loss_prob)

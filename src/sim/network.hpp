@@ -75,7 +75,6 @@ class DatagramNetwork {
   void send(ProcessId from, ProcessId to, std::vector<std::byte> payload);
 
   [[nodiscard]] const DelayModel& delays() const { return delays_; }
-  void set_delays(const DelayModel& m) { delays_ = m; }
 
   [[nodiscard]] MessageStats& stats() { return stats_; }
 
@@ -122,7 +121,6 @@ class DatagramNetwork {
 
   /// Ambient duplication/reordering/corruption probabilities.
   void set_fault_model(const NetFaultModel& m) { faults_ = m; }
-  [[nodiscard]] const NetFaultModel& fault_model() const { return faults_; }
 
   /// Decides whether a payload is sheddable data (true) or must-pass
   /// control (false) under the outbound budget. Injected by the transport

@@ -41,8 +41,6 @@ class Simulator {
   /// Run until the queue drains (or `max_events` fire, as a runaway guard).
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-
  private:
   SimTime now_ = 0;
   EventQueue queue_;

@@ -35,4 +35,15 @@ BufferPool& BufferPool::local() {
   return pool;
 }
 
+void BufferPool::export_local_stats(
+    std::map<std::string, std::uint64_t>& out) {
+  const BufferPool& pool = local();
+  out["util.pool.acquires"] = pool.stats_.acquires;
+  out["util.pool.reuses"] = pool.stats_.reuses;
+  out["util.pool.allocs"] = pool.stats_.allocs;
+  out["util.pool.releases"] = pool.stats_.releases;
+  out["util.pool.discards"] = pool.stats_.discards;
+  out["util.pool.retained_bytes"] = pool.retained_bytes_;
+}
+
 }  // namespace tw::util

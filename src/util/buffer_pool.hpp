@@ -8,13 +8,15 @@
 // one thread and each UDP endpoint owns one event-loop thread, so no locks
 // are needed and buffers never migrate between threads.
 //
-// Stats are exported by the transports as "codec.*" metrics; `allocs` is
-// the counting-allocator hook the throughput bench divides by messages
-// sent to get allocs/msg.
+// Both transports export the stats as "util.pool.*" metrics
+// (export_local_stats); `allocs` is the counting-allocator hook the
+// throughput bench divides by messages sent to get allocs/msg.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 namespace tw::util {
@@ -55,6 +57,11 @@ class BufferPool {
 
   /// This thread's pool. Both transports and all message codecs use it.
   static BufferPool& local();
+
+  /// Metrics pull source: this thread's pool as util.pool.<Stats field>
+  /// plus util.pool.retained_bytes. Stats are per-thread and
+  /// process-cumulative; diff two snapshots to meter one run.
+  static void export_local_stats(std::map<std::string, std::uint64_t>& out);
 
  private:
   static constexpr std::size_t kMaxFree = 64;

@@ -11,17 +11,17 @@
 namespace tw::baseline {
 namespace {
 
-template <typename Protocol, typename Config>
+template <typename Protocol>
 struct Rig {
   net::SimCluster cluster;
   std::vector<std::unique_ptr<Protocol>> nodes;
   std::vector<std::vector<std::pair<std::uint64_t, util::ProcessSet>>> views;
 
-  Rig(int n, std::uint64_t seed, Config cfg)
+  Rig(int n, std::uint64_t seed)
       : cluster(make_cc(n, seed)), views(static_cast<std::size_t>(n)) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
       nodes.push_back(std::make_unique<Protocol>(
-          cluster.endpoint(p), cfg,
+          cluster.endpoint(p),
           [this, p](std::uint64_t vid, util::ProcessSet m) {
             views[p].emplace_back(vid, m);
           }));
@@ -53,16 +53,16 @@ struct Rig {
   }
 };
 
-using HbRig = Rig<HeartbeatMembership, HeartbeatConfig>;
-using ArRig = Rig<AttendanceRing, AttendanceConfig>;
+using HbRig = Rig<HeartbeatMembership>;
+using ArRig = Rig<AttendanceRing>;
 
 TEST(Heartbeat, FormsInitialView) {
-  HbRig rig(5, 1, {});
+  HbRig rig(5, 1);
   EXPECT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
 }
 
 TEST(Heartbeat, SendsHeartbeatsContinuously) {
-  HbRig rig(5, 2, {});
+  HbRig rig(5, 2);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   auto& stats = rig.cluster.network().stats();
   const auto before =
@@ -75,7 +75,7 @@ TEST(Heartbeat, SendsHeartbeatsContinuously) {
 }
 
 TEST(Heartbeat, RemovesCrashedMember) {
-  HbRig rig(5, 3, {});
+  HbRig rig(5, 3);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   rig.cluster.faults().crash_at(rig.cluster.now() + sim::msec(50), 2);
   util::ProcessSet expected = util::ProcessSet::full(5);
@@ -84,7 +84,7 @@ TEST(Heartbeat, RemovesCrashedMember) {
 }
 
 TEST(Heartbeat, ReadmitsRecoveredMember) {
-  HbRig rig(5, 4, {});
+  HbRig rig(5, 4);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   rig.cluster.faults().crash_at(rig.cluster.now() + sim::msec(50), 4);
   util::ProcessSet without = util::ProcessSet::full(5);
@@ -96,7 +96,7 @@ TEST(Heartbeat, ReadmitsRecoveredMember) {
 }
 
 TEST(Heartbeat, MinorityCannotFormView) {
-  HbRig rig(5, 5, {});
+  HbRig rig(5, 5);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   rig.cluster.faults().partition_at(
       rig.cluster.now(), {util::ProcessSet({0, 1, 2}),
@@ -113,8 +113,7 @@ TEST(Heartbeat, FalseSuspicionChangesView) {
   // The contrast case for the timewheel's wrong-suspicion masking: dropping
   // a few heartbeats from one member makes the coordinator reshape the view
   // even though the member is alive.
-  HeartbeatConfig cfg;
-  HbRig rig(5, 6, cfg);
+  HbRig rig(5, 6);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   const auto views_before = rig.views[0].size();
   // Drop member 3's heartbeats to everyone for 5 periods.
@@ -130,7 +129,7 @@ TEST(Heartbeat, FalseSuspicionChangesView) {
 }
 
 TEST(AttendanceRing, FormsViewAndCirculatesToken) {
-  ArRig rig(5, 7, {});
+  ArRig rig(5, 7);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   auto& stats = rig.cluster.network().stats();
   const auto before =
@@ -142,7 +141,7 @@ TEST(AttendanceRing, FormsViewAndCirculatesToken) {
 }
 
 TEST(AttendanceRing, CrashTriggersReformation) {
-  ArRig rig(5, 8, {});
+  ArRig rig(5, 8);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   rig.cluster.faults().crash_at(rig.cluster.now() + sim::msec(50), 1);
   util::ProcessSet expected = util::ProcessSet::full(5);
@@ -154,7 +153,7 @@ TEST(AttendanceRing, CrashTriggersReformation) {
 TEST(AttendanceRing, TokenLossForcesFullReformation) {
   // The ablation point: a single lost token datagram interrupts service
   // with a full re-formation — no single-failure fast path, no masking.
-  ArRig rig(5, 9, {});
+  ArRig rig(5, 9);
   ASSERT_TRUE(rig.run_until_view(util::ProcessSet::full(5), sim::sec(5)));
   const auto before = rig.nodes[2]->reformations();
   // Drop the next few token messages entirely.

@@ -313,5 +313,130 @@ TEST(GmsFailure, RepeatedCrashRecoverCycles) {
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
+TEST(GmsFailure, ExcludedNFailureMemberJoinsAfterEveryNewMembersDecision) {
+  // Paper §4.2's delayed switch to join: a member in n-failure that the new
+  // group excludes stays in n-failure, and sends no reconfiguration, until
+  // it has a decision from every new member; only then does it enter join.
+  HarnessConfig cfg = cfg_n(5, 16);
+  cfg.perfect_clocks = true;  // trace times are sim times, so slots line up
+  SimHarness h(cfg);
+  form_group(h);
+  constexpr ProcessId kCut = 4;
+  util::ProcessSet rest = util::ProcessSet::full(5);
+  rest.erase(kCut);
+  h.faults().isolate_at(h.now() + sim::msec(100), kCut);
+  ASSERT_TRUE(h.run_until_group(rest, h.now() + sim::sec(3)));
+  const sim::SimTime deadline = h.now() + sim::sec(3);
+  while (h.node(kCut).state() != GcState::n_failure && h.now() < deadline)
+    h.run_for(sim::msec(1));
+  ASSERT_EQ(h.node(kCut).state(), GcState::n_failure);
+  const sim::SimTime n_failure_at = h.now();
+  // Let kCut spend one of its own slots in n-failure, then heal 40 ms
+  // before the next one, so the exclusion wait spans a slot of its own.
+  const sim::Duration slot = h.node(kCut).config().slot_len();
+  const sim::Duration cycle = 5 * slot;
+  const sim::SimTime first_slot =
+      (h.now() / cycle + 1) * cycle + static_cast<sim::Duration>(kCut) * slot;
+  const sim::SimTime second_slot = first_slot + cycle;
+  h.run_until(second_slot - sim::msec(40));
+  ASSERT_EQ(h.node(kCut).state(), GcState::n_failure);
+  const sim::SimTime heal = h.now();
+  h.cluster().network().heal();
+  ASSERT_TRUE(
+      h.run_until_group(util::ProcessSet::full(5), h.now() + sim::sec(10)));
+  h.run_for(sim::sec(1));
+
+  const auto trace = h.merged_trace();
+  sim::SimTime excluded_at = -1;  // first decision kCut heard after the heal
+  sim::SimTime join_at = -1;      // kCut's first transition after the heal
+  util::ProcessSet deciders_heard;
+  std::vector<std::pair<GcState, GcState>> after_heal;  // (from, to)
+  for (const obs::Event& e : trace) {
+    if (e.p != kCut || e.t < heal) continue;
+    if (e.kind == obs::EvKind::dgram_recv &&
+        e.arg == net::kind_byte(net::MsgKind::decision) && join_at < 0) {
+      if (excluded_at < 0) excluded_at = e.t;
+      deciders_heard.insert(static_cast<ProcessId>(e.a));
+    }
+    if (e.kind == obs::EvKind::fsm_transition) {
+      after_heal.emplace_back(static_cast<GcState>(e.b),
+                              static_cast<GcState>(e.a));
+      if (join_at < 0) join_at = e.t;
+    }
+  }
+  ASSERT_GE(excluded_at, 0);
+  ASSERT_FALSE(after_heal.empty());
+  EXPECT_EQ(after_heal.front(),
+            std::make_pair(GcState::n_failure, GcState::join));
+  EXPECT_EQ(after_heal.back().second, GcState::failure_free);
+  EXPECT_EQ(deciders_heard, rest);
+  EXPECT_GT(join_at, second_slot) << "the wait did not span kCut's slot";
+
+  const auto reconfigurations = [&trace](sim::SimTime from, sim::SimTime to) {
+    int sent = 0;
+    for (const obs::Event& e : trace)
+      if (e.p == kCut && e.kind == obs::EvKind::dgram_send &&
+          e.arg == net::kind_byte(net::MsgKind::reconfiguration) &&
+          e.t >= from && e.t <= to)
+        ++sent;
+    return sent;
+  };
+  EXPECT_GT(reconfigurations(n_failure_at, heal), 0);
+  EXPECT_EQ(reconfigurations(excluded_at, join_at), 0);
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(GmsFailure, NoDecisionNamingAProcessOutsideTheTeamIsDropped) {
+  // A failure-free member hears a no-decision from its expected decider
+  // that names suspect 100. Taking up that suspicion would index
+  // per-member state with it, so the datagram must be dropped.
+  HarnessConfig cfg = cfg_n(5, 17);
+  cfg.perfect_clocks = true;
+  SimHarness h(cfg);
+  form_group(h);
+  ProcessId p = 0;
+  while (h.node(p).believed_decider() == p) ++p;
+  TimewheelNode& node = h.node(p);
+  ASSERT_EQ(node.state(), GcState::failure_free);
+  const GroupId gid = node.group_id();
+  NoDecision nd;
+  nd.suspect = 100;
+  nd.gid = gid;
+  nd.send_ts = *node.clock().now();
+  nd.alive = util::ProcessSet::full(5);
+  const std::vector<std::byte> bytes = nd.encode();
+  EXPECT_NO_THROW(node.on_datagram(node.believed_decider(), bytes));
+  EXPECT_EQ(node.state(), GcState::failure_free);
+  EXPECT_EQ(node.group_id(), gid);
+  EXPECT_EQ(node.group(), util::ProcessSet::full(5));
+  h.run_for(sim::sec(1));
+  EXPECT_TRUE(node.in_group());
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(GmsFailure, DecisionNamingAProcessOutsideTheTeamIsDropped) {
+  // A fresh decision whose group names member 5 of a 5-member team must
+  // not be installed as the view.
+  HarnessConfig cfg = cfg_n(5, 18);
+  cfg.perfect_clocks = true;
+  SimHarness h(cfg);
+  form_group(h);
+  TimewheelNode& node = h.node(0);
+  const GroupId gid = node.group_id();
+  bcast::Decision d;
+  d.gid = gid + 1;
+  d.group = util::ProcessSet::full(6);
+  d.decider = node.believed_decider() == 0 ? 1 : node.believed_decider();
+  d.send_ts = *node.clock().now();
+  d.alive = util::ProcessSet::full(5);
+  const std::vector<std::byte> bytes = d.encode();
+  EXPECT_NO_THROW(node.on_datagram(d.decider, bytes));
+  EXPECT_EQ(node.group_id(), gid);
+  EXPECT_EQ(node.group(), util::ProcessSet::full(5));
+  h.run_for(sim::sec(1));
+  EXPECT_TRUE(node.in_group());
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
 }  // namespace
 }  // namespace tw::gms

@@ -14,6 +14,8 @@
 #include "gms/timewheel_node.hpp"
 #include "net/sim_transport.hpp"
 #include "net/udp_transport.hpp"
+#include "util/bytes.hpp"
+#include "util/crc32.hpp"
 
 namespace tw::net {
 namespace {
@@ -221,6 +223,55 @@ TEST(UdpTransport, CrcRejectsCorruptDatagrams) {
   // The rejection is accounted: exactly one datagram failed its CRC.
   EXPECT_EQ(cluster.crc_dropped(1), 1u);
   EXPECT_EQ(cluster.crc_dropped(0), 0u);
+}
+
+TEST(UdpTransport, FrameWithoutPayloadIsARunt) {
+  // An 8-byte frame has a valid CRC and a valid sender id but no payload,
+  // not even the kind byte. It must be dropped and counted as a runt; the
+  // handler never sees an empty datagram.
+  UdpClusterConfig cfg;
+  cfg.n = 2;
+  cfg.base_port = 48431;
+  UdpCluster cluster(cfg);
+  std::atomic<int> received{0};
+  struct CountHandler final : Handler {
+    std::atomic<int>& counter;
+    explicit CountHandler(std::atomic<int>& c) : counter(c) {}
+    void on_start() override {}
+    void on_datagram(ProcessId, std::span<const std::byte>) override {
+      counter.fetch_add(1);
+    }
+  };
+  CountHandler h0(received), h1(received);
+  cluster.bind(0, h0);
+  cluster.bind(1, h1);
+  cluster.start();
+
+  util::ByteWriter w;
+  w.u32(0);  // CRC placeholder
+  w.u32(0);  // sender: member 0
+  w.patch_u32(0, util::crc32c(w.view().subspan(4)));
+  const std::vector<std::byte> frame = std::move(w).take();
+  ASSERT_EQ(frame.size(), 8u);
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(cfg.base_port + 1));
+  ::sendto(fd, frame.data(), frame.size(), 0,
+           reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  ::close(fd);
+  for (int i = 0; i < 200 && cluster.crc_dropped(1) == 0 &&
+                  received.load() == 0;
+       ++i) {
+    timespec req{0, 10'000'000};
+    nanosleep(&req, nullptr);
+  }
+  cluster.stop();
+  EXPECT_EQ(received.load(), 0);
+  EXPECT_EQ(cluster.metrics().snapshot().value("udp.p1.received"), 0u);
+  EXPECT_EQ(cluster.crc_dropped(1), 1u);
 }
 
 TEST(UdpTransport, FailedSendCountsAsOmissionNotSuccess) {
