@@ -119,6 +119,89 @@ TEST(GmsRecovery, ZombieIsRehabilitatedBySolicitedStateTransfer) {
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
+/// p's events of `kind` in the merged trace, in order.
+std::vector<obs::Event> events_of(const SimHarness& h, ProcessId p,
+                                  obs::EvKind kind) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : h.merged_trace())
+    if (e.p == p && e.kind == kind) out.push_back(e);
+  return out;
+}
+
+TEST(GmsRecovery, ZombieRejoinSolicitationBacksOffAndRotatesPastAStaleDonor) {
+  // A zombie whose solicitations go unanswered walks the ring with backoff.
+  // After p3's blink it learns the group and asks p0 (dropped); it must
+  // not ask again before the backoff, then asks p1, whose copy arrives
+  // past the staleness bound and is refused by p1's round gate; p2's copy
+  // is dropped too; the walk skips p3 itself and p0 answers. Meanwhile the
+  // team excludes p3, re-integrates it once (p0 is its ring successor, so
+  // the integrating decider; that transfer is dropped) and excludes it
+  // again. Decisions to p3 and its joins are dropped, so p3 still believes
+  // it is listed and keeps soliciting instead of joining.
+  HarnessConfig cfg = cfg_n(4, 22);
+  SimHarness h(cfg);
+  form_group(h);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    h.propose(static_cast<ProcessId>(i % 4), 500 + i, bcast::Order::total);
+    h.run_for(sim::msec(30));
+  }
+  h.run_for(sim::sec(1));
+
+  const sim::Duration cycle = cfg.node.cycle_len(4);
+  const auto rejoin = net::kind_byte(net::MsgKind::rejoin_request);
+  const util::ProcessSet others{0, 1, 2};
+  const sim::SimTime t = h.now();
+  h.faults().crash_at(t + sim::msec(5), 3);
+  h.faults().recover_at(t + sim::msec(5) + sim::usec(200), 3);
+  h.faults().drop_at(t + sim::msec(6), 3, rejoin, util::ProcessSet{0}, 1);
+  h.faults().delay_at(t + sim::msec(6), 3, rejoin, util::ProcessSet{1}, 1,
+                      2 * cycle);
+  h.faults().drop_at(t + sim::msec(6), 3, rejoin, util::ProcessSet{2}, 1);
+  h.faults().drop_at(t + sim::msec(6), 3, net::kind_byte(net::MsgKind::join),
+                     others, 100000);
+  h.faults().drop_at(t + sim::msec(6), 0,
+                     net::kind_byte(net::MsgKind::state_transfer),
+                     util::ProcessSet{3}, 1);
+  const sim::SimTime deadline = t + sim::sec(8);
+  while (h.node(3).stats().rejoin_requests_sent == 0 && h.now() < deadline)
+    h.run_for(sim::msec(1));
+  ASSERT_EQ(h.node(3).stats().rejoin_requests_sent, 1u)
+      << h.cluster().trace_log().dump();
+  for (ProcessId q : others)
+    h.faults().drop_at(h.now(), q, net::kind_byte(net::MsgKind::decision),
+                       util::ProcessSet{3}, 100000);
+
+  while (h.node(3).recovered_dirty() && h.now() < deadline)
+    h.run_for(sim::msec(10));
+  ASSERT_FALSE(h.node(3).recovered_dirty()) << h.cluster().trace_log().dump();
+  const auto asks = events_of(h, 3, obs::EvKind::rejoin_request);
+  ASSERT_EQ(asks.size(), 4u);
+  EXPECT_EQ(asks[0].a, 0u);
+  EXPECT_EQ(asks[1].a, 1u) << "the retry did not move on to another member";
+  EXPECT_EQ(asks[2].a, 2u);
+  EXPECT_EQ(asks[3].a, 0u) << "the walk did not skip the zombie itself";
+  EXPECT_GE(asks[1].t_sync() - asks[0].t_sync(), 2 * cycle)
+      << "retried before the backoff";
+  const std::uint8_t stale_rejoin = static_cast<std::uint8_t>(
+      (static_cast<std::uint8_t>(RoundMsg::rejoin_request) << 4) |
+      static_cast<std::uint8_t>(RoundDrop::stale));
+  bool refused = false;
+  for (const obs::Event& e : events_of(h, 1, obs::EvKind::round_drop))
+    refused = refused || e.arg == stale_rejoin;
+  EXPECT_TRUE(refused) << "p1 did not refuse the late solicitation";
+  EXPECT_GE(h.node(1).stats().stale_dropped, 1u);
+  EXPECT_EQ(h.node(3).stats().rehabilitations, 1u);
+
+  h.faults().clear_rules_at(h.now() + sim::msec(1));
+  ASSERT_TRUE(
+      h.run_until_group(util::ProcessSet::full(4), h.now() + sim::sec(20)));
+  ASSERT_TRUE(run_until_clean(h, 3, 2, h.now() + sim::sec(10)));
+  h.run_for(sim::sec(1));
+  EXPECT_EQ(h.app_state(3), h.app_state(0));
+  EXPECT_EQ(h.node(3).buffered_delivery_count(), 0u);
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
 TEST(GmsRecovery, DetectedCrashRejoinKeepsDeliveryWatermarksSafe) {
   // Long downtime: the group excludes the member, re-forms, and readmits it
   // through the join path. Across both incarnations the member must never
@@ -148,6 +231,65 @@ TEST(GmsRecovery, DetectedCrashRejoinKeepsDeliveryWatermarksSafe) {
   // because delivered() accumulates across the whole run.
   EXPECT_TRUE(h.check_all_invariants().empty());
   EXPECT_GT(h.stable_store(1).kernel().incarnation, 1u);
+}
+
+TEST(GmsRecovery, RecoveredJoinerStarvedOfStateTransfersGivesUp) {
+  // The team excludes crashed p1 and re-integrates it as a joiner, but no
+  // state transfer ever reaches it. After state_retry_limit requests p1
+  // stops waiting: it hands its buffered deliveries over, is no longer
+  // recovered-dirty, and traces one rehabilitation that gave up (arg 2).
+  HarnessConfig cfg = cfg_n(5, 23);
+  SimHarness h(cfg);
+  form_group(h);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    h.propose(static_cast<ProcessId>(i % 5), 600 + i, bcast::Order::total);
+    h.run_for(sim::msec(30));
+  }
+  h.run_for(sim::sec(1));
+  h.faults().crash_at(h.now() + sim::msec(10), 1);
+  util::ProcessSet without1 = util::ProcessSet::full(5);
+  without1.erase(1);
+  ASSERT_TRUE(h.run_until_group(without1, h.now() + sim::sec(10)));
+  for (ProcessId donor : without1)
+    h.faults().drop_at(h.now(), donor,
+                       net::kind_byte(net::MsgKind::state_transfer),
+                       util::ProcessSet{1}, 100000);
+  auto& sent = h.cluster().network().stats().by_kind;
+  const auto requests = net::kind_byte(net::MsgKind::state_request);
+  const std::uint64_t requests_before = sent[requests].sent;
+  h.cluster().processes().recover(1);
+  ASSERT_TRUE(
+      h.run_until_group(util::ProcessSet::full(5), h.now() + sim::sec(20)));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    h.propose(0, 650 + i, bcast::Order::total);
+    h.run_for(sim::msec(30));
+  }
+  EXPECT_TRUE(h.node(1).awaiting_state());
+  EXPECT_TRUE(h.node(1).recovered_dirty());
+  EXPECT_GE(h.node(1).buffered_delivery_count(), 1u);
+
+  const sim::SimTime deadline = h.now() + sim::sec(30);
+  while (h.node(1).awaiting_state() && h.now() < deadline)
+    h.run_for(sim::msec(10));
+  EXPECT_FALSE(h.node(1).awaiting_state());
+  EXPECT_FALSE(h.node(1).recovered_dirty());
+  EXPECT_EQ(h.node(1).buffered_delivery_count(), 0u);
+  EXPECT_EQ(h.node(1).stats().state_transfers_received, 0u);
+  // Attempts 1..state_retry_limit walk the ring from p1's successor; in a
+  // ring of five, attempt 5 lands on p1 itself and sends nothing.
+  const auto asks = events_of(h, 1, obs::EvKind::rejoin_retry);
+  ASSERT_EQ(asks.size(), 5u);
+  for (std::size_t i = 0; i < asks.size(); ++i) {
+    EXPECT_EQ(asks[i].arg, 0u);
+    EXPECT_NE(asks[i].b, 1u);
+  }
+  EXPECT_EQ(asks.back().a,
+            static_cast<std::uint64_t>(cfg.node.state_retry_limit));
+  EXPECT_EQ(sent[requests].sent - requests_before, asks.size());
+  const auto rehab = events_of(h, 1, obs::EvKind::rehabilitated);
+  ASSERT_EQ(rehab.size(), 1u);
+  EXPECT_EQ(rehab[0].arg, 2u);
+  EXPECT_EQ(h.node(1).stats().rehabilitations, 1u);
 }
 
 TEST(GmsRecovery, HandWrittenCrashRecoverPlanPassesOracle) {
