@@ -164,16 +164,12 @@ std::vector<std::byte> RejoinRequest::encode() const {
   util::ByteWriter w(util::BufferPool::local());
   w.u8(net::kind_byte(net::MsgKind::rejoin_request));
   w.var_i64(send_ts);
-  w.var_u64(incarnation);
-  w.var_u64(gid);
   return std::move(w).take();
 }
 
 RejoinRequest RejoinRequest::decode(util::ByteReader& r) {
   RejoinRequest m;
   m.send_ts = r.var_i64();
-  m.incarnation = r.var_u64();
-  m.gid = r.var_u64();
   r.expect_done();
   return m;
 }

@@ -88,13 +88,11 @@ struct StateTransfer {
 /// Broadcast-free rehabilitation solicitation: a crash-recovered process
 /// that is STILL listed in the current view (the group never detected the
 /// crash, so the join protocol will never re-integrate it) unicasts this to
-/// a member to request a fresh state transfer. The durable `gid` is the
-/// requester's stable-storage view floor; a donor whose group is older
-/// would be serving stale state and is skipped by the requester.
+/// a member to request a fresh state transfer. The donor's round gate
+/// refuses it when stale; the requester's gate refuses a transfer from a
+/// group older than its durable view floor.
 struct RejoinRequest {
   sim::ClockTime send_ts = 0;
-  std::uint64_t incarnation = 0;  ///< requester's durable incarnation
-  GroupId gid = 0;                ///< last view installed before the crash
 
   [[nodiscard]] std::vector<std::byte> encode() const;
   static RejoinRequest decode(util::ByteReader& r);

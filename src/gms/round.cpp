@@ -62,7 +62,7 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
     // group (a partitioned straggler, a delayed datagram from before the
     // crash) would re-baseline us onto state the group has since
     // superseded.
-    if (node_.recovered_dirty_ && node_.store_ != nullptr &&
+    if (node_.recovered_dirty() && node_.store_ != nullptr &&
         m.epoch < durable_floor_) {
       TW_WARN("p" << node_.self() << ": ignoring stale state transfer (gid "
                   << m.epoch << " < durable floor " << durable_floor_

@@ -95,7 +95,6 @@ class RoundGate {
   [[nodiscard]] bool fresh(sim::ClockTime ts, sim::ClockTime now) const;
 
   // --- durable re-baseline floor (crash recovery) ----------------------
-  [[nodiscard]] GroupId durable_floor() const { return durable_floor_; }
   void set_durable_floor(GroupId gid) { durable_floor_ = gid; }
 
   /// Crash-recovery reset: the round cursor restarts (the floor is

@@ -21,6 +21,7 @@
 #include "gms/config.hpp"
 #include "gms/failure_detector.hpp"
 #include "gms/messages.hpp"
+#include "gms/rebaseline.hpp"
 #include "gms/round.hpp"
 #include "gms/slots.hpp"
 #include "gms/state.hpp"
@@ -157,20 +158,20 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] const FailureDetector& failure_detector() const { return fd_; }
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
-  /// True from a crash recovery until a state transfer (or an election we
-  /// won) re-baselined application state and delivery marks. A converged
-  /// run must end with this false on every member — the torture oracle's
-  /// rehabilitation-liveness invariant.
-  [[nodiscard]] bool recovered_dirty() const { return recovered_dirty_; }
+  /// True from a crash recovery until a state transfer re-baselined
+  /// application state and delivery marks, or the state-request ladder
+  /// gave up. A converged run must end with this false on every member —
+  /// the torture oracle's rehabilitation-liveness invariant.
+  [[nodiscard]] bool recovered_dirty() const { return rebaseline_.dirty(); }
   /// True while this process carries application deliveries that a later
   /// authoritative window superseded (adopt_oal reported them divergent at
   /// a moment no re-baseline could run, e.g. while excluded). Forces the
   /// state-transfer re-baseline at re-integration; same oracle contract as
   /// recovered_dirty(): a converged run ends with this false everywhere.
-  [[nodiscard]] bool lineage_forked() const { return lineage_forked_; }
-  [[nodiscard]] bool awaiting_state() const { return awaiting_state_; }
+  [[nodiscard]] bool lineage_forked() const { return rebaseline_.forked(); }
+  [[nodiscard]] bool awaiting_state() const { return rebaseline_.awaiting(); }
   [[nodiscard]] std::size_t buffered_delivery_count() const {
-    return buffered_deliveries_.size();
+    return rebaseline_.buffered_count();
   }
   /// Durable incarnation number (0 when running without a store).
   [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
@@ -202,7 +203,9 @@ class TimewheelNode final : public net::Handler {
   /// Give up the decider role and the surveillance: no decision is due
   /// and no control message is expected.
   void stand_down();
-  void full_reset();
+  /// Volatile state back to a fresh start; a `recovered` incarnation's
+  /// application state awaits a re-baseline.
+  void full_reset(bool recovered);
   void on_clock_sync_change(bool synchronized);
 
   // --- message handlers ----------------------------------------------------
@@ -217,16 +220,6 @@ class TimewheelNode final : public net::Handler {
   void handle_no_decision(ProcessId from, NoDecision nd);
   void handle_join(ProcessId from, Join j);
   void handle_reconfiguration(ProcessId from, Reconfiguration r);
-  void handle_state_transfer(ProcessId from, StateTransfer st);
-  void handle_state_request(ProcessId from);
-  void handle_rejoin_request(ProcessId from, RejoinRequest rq);
-  /// Zombie rehabilitation: ask a (rotating) member for a state transfer
-  /// while we are recovered-dirty but still listed in the current view.
-  void solicit_rejoin(sim::ClockTime now);
-  /// True while our application state is fit to re-baseline another
-  /// member: we are in the group and need no re-baseline ourselves.
-  [[nodiscard]] bool can_donate() const;
-  void send_state_transfer(ProcessId to, sim::ClockTime send_ts);
   void handle_retransmit_request(ProcessId from, bcast::RetransmitRequest rq);
 
   // --- FD surveillance -------------------------------------------------
@@ -306,29 +299,9 @@ class TimewheelNode final : public net::Handler {
   void deliver_to_app(const bcast::Proposal& p, Ordinal ordinal);
   /// Hand a delivery to the application and persist the watermark.
   void hand_to_app(const bcast::Proposal& p, Ordinal ordinal);
-  /// Ask `to` for a state transfer (`attempt` is traced).
-  void send_state_request(ProcessId to, int attempt);
-  /// Arm the state-transfer wait for solicitation `attempt`.
-  void arm_state_wait(sim::ClockTime now, int attempt);
-  void retry_state_request();
-  /// React to a cross-epoch rebind reported by adopt_oal: our delivered
-  /// history is a forked branch the installed epoch superseded. Buffer
-  /// further deliveries and re-solicit a fresh baseline (state transfer)
-  /// instead of carrying the divergent lineage into the new epoch.
-  void begin_rebaseline(const bcast::DeliveryEngine::AdoptOutcome& outcome,
-                        sim::ClockTime now,
-                        ProcessId preferred_donor = kNoProcess);
-  /// A divergent adoption at a moment no solicitation can run (excluded,
-  /// or no donor): mark the delivered history forked so re-integration
-  /// re-baselines instead of trusting our replica state.
-  void note_forked_lineage(const bcast::DeliveryEngine::AdoptOutcome& outcome);
-  /// Exponential backoff for solicitation retries: one, two, then four
-  /// cycles.
-  [[nodiscard]] sim::Duration retry_backoff(int attempt) const;
   /// Deterministic per-process jitter so healed teams don't retry in
   /// lockstep (derived from self/incarnation/attempt; no RNG, replayable).
   [[nodiscard]] sim::Duration retry_jitter(int attempt) const;
-  void flush_buffered_deliveries();
   void run_delivery(sim::ClockTime now);
   void flush_pending_proposals(sim::ClockTime now);
   void request_missing(ProcessId hint);
@@ -375,6 +348,10 @@ class TimewheelNode final : public net::Handler {
   /// (single source of truth) and owns the round cursor + durable floor.
   friend class RoundGate;
   RoundGate round_{*this};
+  /// Owns every re-baseline of our application state (state transfers,
+  /// zombie rehabilitation, forked histories); reads the node like round_.
+  friend class Rebaseline;
+  Rebaseline rebaseline_{*this};
 
   GcState state_ = GcState::join;
 
@@ -456,30 +433,9 @@ class TimewheelNode final : public net::Handler {
   // while an excluded n-failure member waits.
   util::ProcessSet exit_decisions_needed_;
 
-  // Joiner-side state transfer: buffer app deliveries between installing a
-  // pre-existing group's view and receiving the state-transfer message.
-  bool awaiting_state_ = false;
-  /// True from a crash recovery until a state transfer rehabilitates this
-  /// incarnation: durable application state may reflect deliveries the
-  /// (volatile) broadcast engine no longer remembers, so application
-  /// deliveries are buffered to avoid handing the same update over twice.
-  bool recovered_dirty_ = false;
-  /// Divergent delivered history detected while no re-baseline could run
-  /// (not a member, or no donor). Sticky until a state transfer replaces
-  /// the application state, until we create a group (our knowledge becomes
-  /// the baseline), or until the solicitation retry budget is exhausted.
-  bool lineage_forked_ = false;
-  std::vector<std::pair<bcast::Proposal, Ordinal>> buffered_deliveries_;
-  net::TimerId state_wait_timer_ = net::kNoTimer;
-  int state_request_retries_ = 0;
-
-  // Crash-recovery rehabilitation (stable store present). The durable view
-  // floor (refusing stale re-baseline donors) lives in round_.
+  /// Durable incarnation (stable store present). The durable view floor
+  /// (refusing stale re-baseline donors) lives in round_.
   std::uint64_t incarnation_ = 0;
-  sim::ClockTime last_rejoin_ts_ = -1;
-  ProcessId rejoin_target_ = kNoProcess;
-  /// Consecutive unanswered rejoin solicitations (drives the backoff).
-  int rejoin_attempts_ = 0;
 
   // Watchdog for the join fallback (see on_housekeeping).
   sim::ClockTime n_failure_since_ = -1;

@@ -19,7 +19,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::clock_sync_lost: return "clock_sync_lost";
     case TraceKind::clock_sync_regained: return "clock_sync_regained";
     case TraceKind::proposal_sent: return "proposal_sent";
-    case TraceKind::proposal_purged: return "proposal_purged";
     case TraceKind::custom: return "custom";
   }
   return "?";

@@ -29,7 +29,6 @@ enum class TraceKind : std::uint8_t {
   clock_sync_lost,     ///< synchronized clock became out-of-date
   clock_sync_regained,
   proposal_sent,       ///< a = seq
-  proposal_purged,     ///< a = ordinal (kNoOrdinal if none), b = proposer
   custom,              ///< free-form, see note
 };
 

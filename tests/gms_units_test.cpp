@@ -242,6 +242,13 @@ TEST(GmsMessages, StateTransferRoundTrip) {
   ASSERT_EQ(out.marks.forgotten_below.size(), 1u);
 }
 
+TEST(GmsMessages, RejoinRequestRoundTrip) {
+  RejoinRequest m;
+  m.send_ts = 987654;
+  const auto out = round_trip(m, net::MsgKind::rejoin_request);
+  EXPECT_EQ(out.send_ts, 987654);
+}
+
 TEST(BcastMessages, DecisionRoundTrip) {
   bcast::Decision d;
   d.gid = 4;
