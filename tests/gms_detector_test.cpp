@@ -2,7 +2,8 @@
 // the paper's fixed 2D bound, the adaptive EWMA-of-hop-latency estimator,
 // and the FailureDetector plumbing that feeds them (hop observations on
 // the first expectation-satisfying control message, penalties on expiry,
-// [floor, cap] clamping no policy may escape). Plus the plan-file keys the
+// [floor, cap] clamping no policy may escape), including a team whose
+// nodes run the adaptive policy. Plus the plan-file keys the
 // explore work added ("guard", "round"): serialized only off-default so
 // historical dumps stay byte-identical.
 #include "gms/failure_detector.hpp"
@@ -11,6 +12,7 @@
 
 #include <string>
 
+#include "gms/sim_harness.hpp"
 #include "torture/fault_plan.hpp"
 
 namespace tw::gms {
@@ -200,6 +202,45 @@ TEST(DetectorPlumbing, ResetAlsoResetsTheAttachedPolicy) {
   fd.reset();
   EXPECT_EQ(pol.backoff(), 0);
   EXPECT_FALSE(fd.expecting());
+}
+
+TEST(DetectorPlumbing, NodeOnAdaptiveDetectorTightensThenStillRemovesACrash) {
+  // DetectorKind::adaptive inside a team: once every member has answered
+  // more than tighten_streak hops, the surveillance timeout a member arms
+  // for its expected sender drops below the paper's 2D bound, and a crash
+  // is still detected and removed.
+  HarnessConfig cfg;
+  cfg.n = 5;
+  cfg.seed = 31;
+  cfg.node.detector = DetectorKind::adaptive;
+  SimHarness h(cfg);
+  h.start();
+  ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(5), sim::sec(15)));
+  // A member answers one hop per decision (one every decision delay when
+  // idle) and tightens after `warmup` samples from each of its 4 peers and
+  // tighten_streak answered hops in a row; run four times that long.
+  const AdaptiveDetectorPolicy::Params params;
+  h.run_for(4 * cfg.node.effective_decision_delay() *
+            (params.tighten_streak + 4 * params.warmup));
+  const sim::Duration cap = cfg.node.fd_timeout();
+  int watching = 0;
+  for (ProcessId p = 0; p < 5; ++p) {
+    const FailureDetector& fd = h.node(p).failure_detector();
+    if (!fd.expecting()) continue;  // the decider watches nobody
+    ++watching;
+    const sim::Duration floor =
+        cfg.node.fd_floor(h.node(p).clock().epsilon());
+    EXPECT_LT(fd.surveillance_timeout(fd.expected_sender(), floor, cap), cap)
+        << "p" << p;
+    EXPECT_LT(fd.deadline() - fd.base_ts(), cap) << "p" << p;
+  }
+  EXPECT_GE(watching, 3);
+
+  h.faults().crash_at(h.now() + sim::msec(5), 2);
+  util::ProcessSet without2 = util::ProcessSet::full(5);
+  without2.erase(2);
+  ASSERT_TRUE(h.run_until_group(without2, h.now() + sim::sec(10)));
+  EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
 // --- FailureDetector boundary edges (the §4.2 comparisons are strict) ---
