@@ -1,5 +1,5 @@
 // Experiment E10 — timer-store microbenchmark: the hierarchical wheel vs the
-// arm / cancel / re-arm at millions of concurrent timers.
+// binary heap, arm / cancel / re-arm at millions of concurrent timers.
 //
 // The protocol workload is arm/cancel churn: every proposer retransmit,
 // suspicion grace and backoff timer is armed, then almost always cancelled
@@ -18,7 +18,8 @@
 //    drain via next_time() stepping, and report dispatch jitter = pop
 //    instant − effective deadline. For the heap this is identically 0; for
 //    the wheel it is the ceil-quantization lateness, bounded by one tick
-//    (1024 µs). Deterministic for a given seed, so CI gates on it.
+//    (TimerWheel::kTickUs). Deterministic for a given seed, so CI gates on
+//    it.
 //  * deterministic/wheel — a seeded schedule/cancel/advance workload in
 //    virtual time whose fired/cancelled/cascade counters are bit-stable;
 //    the CI benchdiff gate that catches accidental wheel behavior changes.
@@ -167,7 +168,8 @@ BenchRun dispatch_wheel(int timers, std::uint64_t seed) {
 
 // ------------------------------------------------- deterministic wheel gate
 
-/// A seeded virtual-time workload across all four wheel levels. Every
+/// A seeded virtual-time workload with delays up to 2^26 µs (~67 s), which
+/// reach levels 0-2 at the 128 µs tick; the final drain jumps 2^40 µs. Every
 /// metric is bit-stable for a given (ops, seed): CI diffs them unignored.
 BenchRun deterministic_wheel(int ops, std::uint64_t seed) {
   evl::TimerWheel w(0);
@@ -180,7 +182,7 @@ BenchRun deterministic_wheel(int ops, std::uint64_t seed) {
     const std::uint64_t r = splitmix(s);
     switch (r % 4) {
       case 0:
-      case 1: {  // arm: delays spanning level 0 through level 3
+      case 1: {  // arm: delays spanning several wheel levels
         const auto delay =
             static_cast<std::int64_t>(splitmix(s) % (1ull << 26));
         live.push_back(w.schedule(vnow + delay, [] {}));
@@ -276,7 +278,7 @@ int main(int argc, char** argv) {
   report.runs.push_back(dispatch_wheel(timers, seed));
 
   print_header("E10c: deterministic wheel workload (CI gate)",
-               "seeded arm/cancel/advance mix across all four levels");
+               "seeded arm/cancel/advance mix, delays up to ~67 s");
   report.runs.push_back(deterministic_wheel(det_ops, seed));
 
   if (!report.write_file(out)) {

@@ -189,7 +189,7 @@ DeliveryEngine::AdoptOutcome DeliveryEngine::adopt_oal(const Oal& oal,
     if (s.delivered) {
       ++out.divergent;
       if (recorder_ != nullptr)
-        recorder_->emit(obs::EvKind::oal_quarantined, 1, s.ordinal,
+        recorder_->emit(obs::EvKind::oal_quarantined, 2, s.ordinal,
                         (s.bind_epoch << 32) |
                             (out.window_epoch & 0xffffffffULL));
       TW_WARN("p" << self_ << ": delivered " << pid.proposer << "."

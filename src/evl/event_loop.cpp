@@ -17,10 +17,9 @@ namespace tw::evl {
 EventLoop::EventLoop() : timers_(mono_now_us()) {
 #if defined(__linux__)
   wake_rd_ = wake_wr_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_rd_ >= 0) return;
 #endif
   int fds[2] = {-1, -1};
-  if (::pipe(fds) == 0) {
+  if (wake_rd_ < 0 && ::pipe(fds) == 0) {
     for (const int fd : fds) {
       ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
       ::fcntl(fd, F_SETFD, FD_CLOEXEC);
@@ -28,6 +27,7 @@ EventLoop::EventLoop() : timers_(mono_now_us()) {
     wake_rd_ = fds[0];
     wake_wr_ = fds[1];
   }
+  if (wake_rd_ >= 0) poll_set_.push_back(pollfd{wake_rd_, POLLIN, 0});
 }
 
 EventLoop::~EventLoop() {
@@ -43,7 +43,8 @@ std::int64_t EventLoop::mono_now_us() {
 }
 
 void EventLoop::watch_fd(int fd, std::function<void()> on_readable) {
-  fd_handlers_[fd] = std::move(on_readable);
+  if (fd_handlers_.insert_or_assign(fd, std::move(on_readable)).second)
+    poll_set_.push_back(pollfd{fd, POLLIN, 0});
 }
 
 void EventLoop::set_recorder(obs::Recorder* recorder) {
@@ -101,7 +102,7 @@ void EventLoop::post(std::function<void()> fn) {
     const std::lock_guard lock(posted_mu_);
     posted_.push_back(std::move(fn));
   }
-  // Wake a poll_once() that may be asleep in poll(2). Without this the
+  // Wake a poll_once() that may be asleep in ppoll(2). Without this the
   // posted callback would wait out the full poll timeout (up to 100ms in
   // run()). EAGAIN just means the counter/pipe already holds a pending
   // wakeup, which is enough.
@@ -159,25 +160,21 @@ int EventLoop::poll_once(sim::Duration max_wait_us) {
     const std::int64_t until = next_timer - mono_now_us();
     wait_us = std::clamp<std::int64_t>(until, 0, wait_us);
   }
-  // Cap the single-poll sleep: keeps the ms conversion below from
-  // overflowing for far-future waits, and bounds how stale the timer
-  // re-bound can get. Waking early is a spurious (harmless) wakeup.
+  // Cap the single sleep; waking early is a spurious (harmless) wakeup.
   wait_us = std::min<std::int64_t>(
       wait_us, std::int64_t{kMaxPollTimeoutMs} * 1000);
-
-  std::vector<pollfd> fds;
-  fds.reserve(fd_handlers_.size() + 1);
-  if (wake_rd_ >= 0) fds.push_back(pollfd{wake_rd_, POLLIN, 0});
-  for (const auto& [fd, handler] : fd_handlers_)
-    fds.push_back(pollfd{fd, POLLIN, 0});
 
   int dispatched = 0;
   const std::int64_t wait_deadline = mono_now_us() + wait_us;
   std::int64_t remaining_us = wait_us;
   int rc;
   for (;;) {
-    const int timeout_ms = static_cast<int>((remaining_us + 999) / 1000);
-    rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+    // µs precision: a 1 ms flush must not sleep until the next whole ms.
+    const timespec timeout{
+        static_cast<time_t>(remaining_us / 1000000),
+        static_cast<long>(remaining_us % 1000000) * 1000};
+    rc = ::ppoll(poll_set_.data(), static_cast<nfds_t>(poll_set_.size()),
+                 &timeout, nullptr);
     if (rc >= 0) break;
     if (errno == EINTR) {
       // A signal (profiler, SIGCHLD, ...) interrupted the wait. Retry for
@@ -187,13 +184,17 @@ int EventLoop::poll_once(sim::Duration max_wait_us) {
       remaining_us = std::max<std::int64_t>(wait_deadline - mono_now_us(), 0);
       continue;
     }
-    // A hard poll failure (EINVAL/ENOMEM/EBADF...). Count it and fall
+    // A hard ppoll failure (EINVAL/ENOMEM/EBADF...). Count it and fall
     // through to timer dispatch so the loop keeps making progress.
     if (poll_errors_ != nullptr) poll_errors_->inc();
     break;
   }
   if (rc > 0) {
-    for (const auto& pfd : fds) {
+    // By index over the entries ppoll saw, on a copy of each: a handler
+    // may call watch_fd, which appends to (and may reallocate) the set.
+    const std::size_t polled = poll_set_.size();
+    for (std::size_t i = 0; i < polled; ++i) {
+      const pollfd pfd = poll_set_[i];
       if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
       if (pfd.fd == wake_rd_) {
         drain_wakeup();
@@ -215,7 +216,7 @@ int EventLoop::poll_once(sim::Duration max_wait_us) {
     }
   }
   dispatched += dispatch_due_timers();
-  // A wakeup may have landed while poll was sleeping; run what it posted
+  // A wakeup may have landed while ppoll was sleeping; run what it posted
   // now rather than a full poll cycle later.
   dispatched_posted += dispatch_posted();
   return dispatched + dispatched_posted;

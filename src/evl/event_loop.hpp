@@ -7,20 +7,24 @@
 //  [...] is required. The event handler is implemented by a single thread of
 //  control."
 //
-// This EventLoop demultiplexes readable file descriptors (via poll(2)) and
+// This EventLoop demultiplexes readable file descriptors (via ppoll(2)) and
 // timer expirations into user callbacks, all on the calling thread. It backs
 // the real UDP transport and the thread-vs-event benchmark (experiment E6).
 //
 // Timers are stored in a hierarchical TimerWheel (evl/timer_wheel.hpp):
 // O(1) arm/cancel/re-arm under the protocol's arm-mostly-cancel churn, at
-// the price of quantizing deadlines up to the wheel's ~1 ms tick. The
-// discrete-event simulator keeps the exact-timestamp sim::EventQueue.
+// the price of quantizing deadlines up to the wheel's 128 µs tick. The loop
+// sleeps in ppoll(2) with a µs timespec, so the sleep adds no rounding of
+// its own. The discrete-event simulator keeps the exact-timestamp
+// sim::EventQueue.
 //
 // Cross-thread post() is wired to a wakeup descriptor (eventfd, with a
 // self-pipe fallback) that is part of the poll set, so a posted callback
 // interrupts a sleeping poll_once() immediately instead of waiting out the
 // poll timeout.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <functional>
@@ -42,10 +46,9 @@ class EventLoop {
   /// always-due re-arm chain from starving fd dispatch.
   static constexpr int kMaxTimerDispatchPerPoll = 256;
 
-  /// poll(2) timeout ceiling. Bounds the int conversion for far-future
-  /// timers (a µs wait near INT64_MAX used to overflow the ms cast into a
-  /// negative timeout, i.e. poll-forever); waking once a minute to re-bound
-  /// the wait costs nothing.
+  /// Ceiling on one ppoll(2) sleep. A timer parked above level 0 reports
+  /// only its next cascade boundary, so the wait is re-bounded on every
+  /// wake-up anyway; waking once a minute to do so costs nothing.
   static constexpr int kMaxPollTimeoutMs = 60 * 1000;
 
   EventLoop();
@@ -56,7 +59,9 @@ class EventLoop {
   /// Monotonic wall time in µs (CLOCK_MONOTONIC).
   [[nodiscard]] static std::int64_t mono_now_us();
 
-  /// Invoke `on_readable` whenever fd becomes readable.
+  /// Invoke `on_readable` whenever fd becomes readable. Watching an fd
+  /// again replaces its handler. A handler may call watch_fd; the new fd
+  /// is polled from the next poll_once() on.
   void watch_fd(int fd, std::function<void()> on_readable);
 
   sim::EventId add_timer_at(std::int64_t mono_us, std::function<void()> fn);
@@ -99,6 +104,10 @@ class EventLoop {
 
   TimerWheel timers_;  // keyed on monotonic µs
   std::unordered_map<int, std::function<void()>> fd_handlers_;
+  /// The ppoll(2) set: the wakeup descriptor (when there is one), then one
+  /// entry per watched fd in watch order. Appended to by watch_fd, never
+  /// rebuilt.
+  std::vector<pollfd> poll_set_;
   bool stopped_ = false;
 
   std::mutex posted_mu_;
@@ -112,7 +121,7 @@ class EventLoop {
   obs::Registry* metrics_registry_ = nullptr;  ///< owner of wheel_source_
   obs::Registry::SourceId wheel_source_ = 0;
   obs::Counter* poll_eintr_ = nullptr;  ///< EINTR retries (benign)
-  obs::Counter* poll_errors_ = nullptr; ///< hard poll(2) failures
+  obs::Counter* poll_errors_ = nullptr; ///< hard ppoll(2) failures
 };
 
 }  // namespace tw::evl

@@ -1,5 +1,5 @@
 // The timer store the repo is named after: a hashed hierarchical timer
-// wheel (4 levels × 256 slots at a 2^10 µs ≈ 1 ms base tick), giving O(1)
+// wheel (4 levels × 256 slots at a 2^7 µs = 128 µs base tick), giving O(1)
 // arm / cancel / re-arm at millions of concurrent timers.
 //
 // The protocol workload is arm/cancel churn: every proposer retransmit,
@@ -12,9 +12,16 @@
 // so a timer never fires before its deadline). Level L holds timers due in
 // [256^L, 256^(L+1)) ticks; a timer's slot within a level is addressed by
 // bits [8L, 8L+8) of its absolute expiry tick, exactly like the classic
-// hashed wheel, so a slot needs no sorting. Level 0 spans ~262 ms, level 1
-// ~67 s, level 2 ~4.8 h, level 3 ~51 days; anything farther parks in the
-// farthest level-3 slot and re-cascades until it fits.
+// hashed wheel, so a slot needs no sorting. Level 0 spans ~32.8 ms, level 1
+// ~8.4 s, level 2 ~35.8 min, level 3 ~6.4 days; anything farther parks in
+// the farthest level-3 slot and re-cascades until it fits.
+//
+// The tick is a constant chosen from measurement, not a parameter. The
+// socket path's hottest timers are the 1 ms batch flush and the 2 ms
+// decision deadline; at a 1024 µs tick each fired up to a tick late
+// (DESIGN.md §2b has the measurement). At 128 µs the lateness is a small
+// fraction of either delay, and a finer tick would have little left to win
+// and would double the cascades again.
 //
 // Cascading is lazy: nothing moves until advance time. When the level-0
 // hand wraps, the next level-1 slot is cascaded down (and transitively up
@@ -35,8 +42,8 @@
 //
 // The discrete-event simulator keeps sim::EventQueue: it needs exact
 // timestamp ordering for determinism, and its timer counts are tiny. The
-// wheel trades ≤1 tick of quantized lateness for throughput — the right
-// trade for the real EventLoop, not for the simulator.
+// wheel trades ≤1 tick (128 µs) of quantized lateness for throughput — the
+// right trade for the real EventLoop, not for the simulator.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +61,7 @@ class TimerWheel {
   static constexpr int kLevels = 4;
   static constexpr int kSlotBits = 8;
   static constexpr std::uint64_t kSlots = 1u << kSlotBits;  // 256
-  static constexpr int kTickShift = 10;  // 1 tick = 1024 µs ≈ 1 ms
+  static constexpr int kTickShift = 7;  // 1 tick = 128 µs
   static constexpr std::int64_t kTickUs = std::int64_t{1} << kTickShift;
   /// Horizon in ticks: deltas beyond this park in the last level-3 slot.
   static constexpr std::uint64_t kMaxDelta =

@@ -76,7 +76,10 @@ enum class EvKind : std::uint8_t {
   // the node re-solicits a fresh baseline (a = divergent rebinds,
   // b = window epoch). oal_quarantined: arg = 0 whole stale window
   // refused (a = window epoch, b = fence), arg = 1 cross-epoch ordinal
-  // rebind (a = ordinal, b = old bind epoch << 32 | new epoch).
+  // rebind (a = ordinal, b = old bind epoch << 32 | new epoch), arg = 2
+  // delivered binding displaced by the adopted window, which binds its
+  // ordinal to another proposal (a = ordinal, b = old bind epoch << 32 |
+  // window epoch; equal halves mean a same-epoch fork).
   // rejoin_retry: arg = 0 state-request retry / 1 rejoin solicitation
   // (a = attempt number, b = target member).
   epoch_fence = 19,

@@ -115,36 +115,51 @@ OracleReport run_oracle(gms::SimHarness& harness, const FaultPlan& plan) {
 
   // §3 safety: view agreement, single decider, majority, and majority
   // group-history (lineage) agreement over the converged group. A lineage
-  // ordinal conflict is further classified from the trace: if some process
-  // recorded a cross-epoch ordinal rebind (oal_quarantined arg=1) at the
-  // conflicting ordinal, the fork crossed a heal — report the offending
-  // epochs; otherwise the lineage forked within a single epoch.
+  // ordinal conflict is further classified from the trace by the first
+  // binding event some process recorded at the conflicting ordinal: a
+  // cross-epoch ordinal rebind (oal_quarantined arg=1) means the fork
+  // crossed a heal; an occupancy conflict (arg=2) means an adopted window
+  // displaced a delivered binding, within one epoch when both halves of b
+  // are equal. Either way report the epochs; with neither recorded the
+  // lineage forked within a single epoch unobserved.
   {
     auto safety = harness.check_majority_agreement_invariants(everyone);
     constexpr std::string_view kConflict = "lineage ordinal conflict at ";
-    std::vector<obs::Event> rebinds;
+    std::vector<obs::Event> bindings;
     bool scanned = false;
     for (std::string& v : safety) {
       if (v.compare(0, kConflict.size(), kConflict) == 0) {
         if (!scanned) {
           scanned = true;
           for (const auto& e : harness.merged_trace())
-            if (e.kind == obs::EvKind::oal_quarantined && e.arg == 1)
-              rebinds.push_back(e);
+            if (e.kind == obs::EvKind::oal_quarantined &&
+                (e.arg == 1 || e.arg == 2))
+              bindings.push_back(e);
         }
         const auto ord =
             std::strtoull(v.c_str() + kConflict.size(), nullptr, 10);
         const obs::Event* hit = nullptr;
-        for (const auto& e : rebinds)
+        for (const auto& e : bindings)
           if (e.a == ord) { hit = &e; break; }
-        if (hit != nullptr) {
-          v += " — cross-epoch rebind on p" + std::to_string(hit->p) +
-               ": binding from epoch " + std::to_string(hit->b >> 32) +
-               " rebound under epoch " +
-               std::to_string(hit->b & 0xffffffffULL);
+        if (hit == nullptr) {
+          v += " — same-epoch lineage fork (no rebind or occupancy"
+               " conflict recorded)";
         } else {
-          v += " — same-epoch lineage fork (no cross-epoch rebind"
-               " recorded)";
+          const std::uint64_t old_epoch = hit->b >> 32;
+          const std::uint64_t new_epoch = hit->b & 0xffffffffULL;
+          const std::string p = std::to_string(hit->p);
+          const std::string from = std::to_string(old_epoch);
+          const std::string to = std::to_string(new_epoch);
+          if (hit->arg == 1) {
+            v += " — cross-epoch rebind on p" + p + ": binding from epoch " +
+                 from + " rebound under epoch " + to;
+          } else {
+            v += std::string(" — ") +
+                 (old_epoch == new_epoch ? "same-epoch " : "") +
+                 "occupancy conflict on p" + p +
+                 ": delivered binding from epoch " + from +
+                 " displaced by the window of epoch " + to;
+          }
         }
       }
       report.violations.push_back(std::move(v));

@@ -1,5 +1,6 @@
 // Unit tests for the delivery engine: 3×3 delivery conditions, suspect
-// marks, dpd/view bookkeeping, transfer marks and tombstones.
+// marks, dpd/view bookkeeping, transfer marks, tombstones and the epoch
+// fence's trace events.
 #include "bcast/delivery.hpp"
 
 #include <gtest/gtest.h>
@@ -462,6 +463,51 @@ TEST(Delivery, UndeliveredStaleBindingUnboundWithoutDivergence) {
   ASSERT_EQ(rig.delivered.size(), 1u);
   EXPECT_EQ(rig.delivered[0].first, (ProposalId{2, 9}));
   EXPECT_EQ(rig.delivered[0].second, 500u);
+}
+
+TEST(Delivery, DisplacedDeliveredBindingTracedApartFromCrossEpochRebind) {
+  // oal_quarantined arg 1 means one proposal moved to another ordinal
+  // under a newer epoch; arg 2 means an adopted window bound a delivered
+  // ordinal to a different proposal. The oracle labels lineage conflicts
+  // by this arg, so a same-epoch fork must not be traced as a rebind.
+  constexpr GroupId kEpoch = 240;
+  obs::Recorder recorder(0, [] { return std::int64_t{0}; }, nullptr);
+  Rig rig;
+  rig.engine.set_recorder(&recorder);
+  Oal first;
+  first.seed_base(500, kEpoch);
+  first.append_update(Rig::proposal(1, 5, Order::total, Atomicity::weak),
+                      {});
+  rig.engine.note_proposal(
+      Rig::proposal(1, 5, Order::total, Atomicity::weak), 1000);
+  rig.engine.adopt_oal(first, kEpoch);
+  rig.engine.try_deliver(1001, kGroup);
+  ASSERT_EQ(rig.delivered.size(), 1u);
+
+  // Same epoch, same ordinal, another proposal: an occupancy conflict.
+  Oal fork;
+  fork.seed_base(500, kEpoch);
+  fork.append_update(Rig::proposal(2, 9, Order::total, Atomicity::weak),
+                     {});
+  EXPECT_EQ(rig.engine.adopt_oal(fork, kEpoch).divergent, 1);
+
+  // Same proposal, another ordinal, a newer epoch: a cross-epoch rebind.
+  Oal later;
+  later.seed_base(700, kEpoch + 1);
+  later.append_update(Rig::proposal(2, 9, Order::total, Atomicity::weak),
+                      {});
+  EXPECT_EQ(rig.engine.adopt_oal(later, kEpoch + 1).divergent, 1);
+
+  std::vector<obs::Event> traced;
+  for (const obs::Event& e : recorder.ring().snapshot())
+    if (e.kind == obs::EvKind::oal_quarantined) traced.push_back(e);
+  ASSERT_EQ(traced.size(), 2u);
+  EXPECT_EQ(traced[0].arg, 2);
+  EXPECT_EQ(traced[0].a, 500u);
+  EXPECT_EQ(traced[0].b, kEpoch << 32 | kEpoch);
+  EXPECT_EQ(traced[1].arg, 1);
+  EXPECT_EQ(traced[1].a, 700u);
+  EXPECT_EQ(traced[1].b, kEpoch << 32 | (kEpoch + 1));
 }
 
 TEST(Delivery, ResetForgetsEverything) {

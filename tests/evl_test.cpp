@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -75,6 +76,36 @@ TEST(EventLoop, FdReadableDispatch) {
   ::close(fds[1]);
 }
 
+TEST(EventLoop, FdHandlerMayWatchAnotherFd) {
+  // The poll set persists across passes and watch_fd appends to it, so a
+  // handler that watches a new fd grows (and may reallocate) the very set
+  // being dispatched. Both handlers must still run.
+  int first[2];
+  int second[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_DGRAM, 0, first), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_DGRAM, 0, second), 0);
+  EventLoop loop;
+  int first_reads = 0;
+  int second_reads = 0;
+  loop.watch_fd(first[0], [&] {
+    char buf[16];
+    ::recv(first[0], buf, sizeof(buf), 0);
+    ++first_reads;
+    loop.watch_fd(second[0], [&] {
+      char other[16];
+      ::recv(second[0], other, sizeof(other), 0);
+      ++second_reads;
+      loop.stop();
+    });
+  });
+  ::send(first[1], "x", 1, 0);
+  ::send(second[1], "y", 1, 0);
+  loop.run_for(sim::sec(2));
+  EXPECT_EQ(first_reads, 1);
+  EXPECT_EQ(second_reads, 1);
+  for (const int fd : {first[0], first[1], second[0], second[1]}) ::close(fd);
+}
+
 TEST(EventLoop, PostFromOtherThread) {
   EventLoop loop;
   std::atomic<bool> ran{false};
@@ -106,6 +137,27 @@ TEST(EventLoop, PostWakesSleepingPollImmediately) {
   EXPECT_GE(latency_us, 0);
   // Well under the poll timeout; generous bound for loaded CI machines.
   EXPECT_LT(latency_us, 50 * 1000) << "post() did not interrupt poll";
+}
+
+TEST(EventLoop, SubMillisecondTimerIsNotRoundedUpToAMillisecond) {
+  // The socket path's hottest timers are the 1 ms batch flush and the 2 ms
+  // decision deadline. A 1024 µs wheel tick plus a poll(2) sleep rounded up
+  // to whole milliseconds made them fire 1-2 ms late; a 300 µs timer must
+  // fire well before the next millisecond.
+  EventLoop loop;
+  std::vector<std::int64_t> late_us;
+  for (int i = 0; i < 21; ++i) {
+    const std::int64_t deadline = EventLoop::mono_now_us() + 300;
+    bool fired = false;
+    loop.add_timer_at(deadline, [&] {
+      late_us.push_back(EventLoop::mono_now_us() - deadline);
+      fired = true;
+    });
+    while (!fired) loop.poll_once(sim::msec(50));
+  }
+  std::sort(late_us.begin(), late_us.end());
+  EXPECT_GE(late_us.front(), 0) << "a timer fired before its deadline";
+  EXPECT_LT(late_us[late_us.size() / 2], 500) << "median lateness (µs)";
 }
 
 TEST(EventLoop, ImmediateRearmFiresInSamePoll) {
