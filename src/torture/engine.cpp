@@ -19,9 +19,12 @@ RunResult TortureEngine::run_plan(const FaultPlan& plan) const {
 }
 
 FaultPlan TortureEngine::minimize(const FaultPlan& plan) const {
+  const std::uint32_t kinds = run_plan(plan).report.kinds();
   FaultPlan current = plan;
   // Greedy single-op removal, repeated until a fixed point: dropping one op
-  // can make another removable.
+  // can make another removable. A candidate that fails some other way
+  // (say, a deleted recover op leaves the team unable to re-form) shows a
+  // different bug, so it is not kept.
   bool shrunk = true;
   while (shrunk) {
     shrunk = false;
@@ -30,7 +33,7 @@ FaultPlan TortureEngine::minimize(const FaultPlan& plan) const {
       FaultPlan candidate = current;
       candidate.ops.erase(candidate.ops.begin() +
                           static_cast<std::ptrdiff_t>(i));
-      if (!run_plan(candidate).passed()) {
+      if (run_plan(candidate).report.kinds() == kinds) {
         current = std::move(candidate);
         shrunk = true;
         break;  // indices shifted; restart the scan

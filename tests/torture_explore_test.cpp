@@ -129,5 +129,50 @@ TEST(TortureExplore, GuardMutationIsCaughtAndMinimizesToReplayablePlan) {
       << "replay of the serialized minimized plan diverged";
 }
 
+// The minimizer keeps a removal only while the run fails the same way. The
+// guard-off case below forks (decision p1 -> p2 dropped, p0 cut off for a
+// round). A crash of p1 just after the heal, recovered 345 ms later, leaves
+// that fork as it is. Deleting the recover op alone adds a liveness
+// failure, because p1 never comes back. Listed first, that removal is the
+// first one a minimizer blind to kinds would keep; it would then strip the
+// fork's own ops and end on the crash alone, a plan that shows only the
+// liveness failure.
+TEST(TortureExplore, MinimizerKeepsTheViolationKinds) {
+  ExploreWindow w;
+  ASSERT_TRUE(load_window(w));
+  w.occupancy_guard = false;
+  FaultPlan plan = build_explore_case(w, -1, 5, 20);
+  FaultOp recover;
+  recover.type = FaultType::recover;
+  recover.p = 1;
+  recover.at = sim::msec(3700);
+  FaultOp crash = recover;
+  crash.type = FaultType::crash;
+  crash.at = sim::msec(3355);
+  plan.ops.insert(plan.ops.begin(), recover);
+  plan.ops.insert(plan.ops.begin() + 4, crash);  // after the drop and cut
+
+  const auto bit = [](ViolationKind k) {
+    return 1u << static_cast<unsigned>(k);
+  };
+  const TortureEngine engine(plan.cfg);
+  const RunResult failed = engine.run_plan(plan);
+  ASSERT_EQ(failed.report.kinds(), bit(ViolationKind::fork))
+      << failed.report.to_string();
+  FaultPlan drifted = plan;
+  drifted.ops.erase(drifted.ops.begin());
+  ASSERT_EQ(engine.run_plan(drifted).report.kinds(),
+            bit(ViolationKind::fork) | bit(ViolationKind::liveness));
+
+  const FaultPlan minimized = engine.minimize(plan);
+  const RunResult replayed = engine.run_plan(minimized);
+  EXPECT_EQ(replayed.report.kinds(), bit(ViolationKind::fork))
+      << replayed.report.to_string();
+  for (const FaultOp& op : minimized.ops)
+    EXPECT_FALSE(!op.structural && (op.type == FaultType::crash ||
+                                    op.type == FaultType::recover))
+        << "the minimized plan still crashes or recovers p1";
+}
+
 }  // namespace
 }  // namespace tw::torture
