@@ -14,9 +14,10 @@ using sim::TraceKind;
 
 namespace {
 
-/// How long the first queued own proposal may wait for its batch to fill
-/// before it is flushed anyway. Below kProposalBatchDelay, so a decider's
-/// own batch reaches the team ahead of the decision that orders it.
+/// Minimum spacing between one member's partial proposal batches. A member
+/// that sent none for this long flushes at the end of the current turn;
+/// under load it holds a partial batch until this long after its last
+/// proposal datagram, so batches fill. Full batches leave at once.
 constexpr sim::Duration kBatchFlushDelay = sim::msec(1);
 /// Robustness extension beyond the paper (DESIGN.md §3): a process stuck
 /// this many cycles in an election that cannot complete falls back to the
@@ -1013,11 +1014,15 @@ void TimewheelNode::schedule_batch_flush() {
     flush_proposal_batch();
     return;
   }
-  if (batch_timer_ == net::kNoTimer)
-    batch_timer_ = ep_.set_timer_after(kBatchFlushDelay, [this] {
-      batch_timer_ = net::kNoTimer;
-      flush_proposal_batch();
-    });
+  if (batch_timer_ != net::kNoTimer) return;
+  // Armed for now at the earliest, not flushed here: proposals made in the
+  // same callback still share the datagram.
+  const sim::ClockTime due =
+      std::max(ep_.hw_now(), last_batch_sent_ + kBatchFlushDelay);
+  batch_timer_ = ep_.set_timer_at_hw(due, [this] {
+    batch_timer_ = net::kNoTimer;
+    flush_proposal_batch();
+  });
 }
 
 void TimewheelNode::flush_proposal_batch() {
@@ -1030,6 +1035,7 @@ void TimewheelNode::flush_proposal_batch() {
     // queueing and flushing; the proposal is then moot.
     if (const bcast::Proposal* p = delivery_.get(id)) batch.push_back(p);
   batch_queue_.clear();
+  if (!batch.empty()) last_batch_sent_ = ep_.hw_now();
   ship_proposals(kNoProcess, batch);
 }
 

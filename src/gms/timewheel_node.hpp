@@ -320,7 +320,8 @@ class TimewheelNode final : public net::Handler {
   /// engine and queue it for the next batch.
   void send_own(bcast::Proposal& p, sim::ClockTime now);
   /// Flush the batch queue once it is full (at once when max_batch <= 1),
-  /// else arm the flush timer.
+  /// else arm the flush timer: for now when no proposal datagram left in
+  /// the last kBatchFlushDelay, else for that long after the last one.
   void schedule_batch_flush();
   void flush_proposal_batch();
   /// Ship proposals in max_batch-sized datagrams; `to` == kNoProcess
@@ -380,6 +381,9 @@ class TimewheelNode final : public net::Handler {
   /// Own proposals noted in the delivery engine but not yet on the wire,
   /// awaiting a full batch or the flush timer.
   std::vector<bcast::ProposalId> batch_queue_;
+  /// Hardware-clock time the last own proposal datagram left (INT64_MIN:
+  /// none yet); the flush timer paces partial batches from it.
+  sim::ClockTime last_batch_sent_ = INT64_MIN;
 
   // Last control message we broadcast (for wrong-suspicion resends).
   std::vector<std::byte> last_control_sent_;
