@@ -17,7 +17,8 @@
 // the farthest level-3 slot and re-cascades until it fits.
 //
 // The tick is a constant chosen from measurement, not a parameter. The
-// socket path's hottest timers are the 1 ms batch flush and the 2 ms
+// socket path's hottest timers are the proposal batch flush (armed for
+// now on an idle member, at most 1 ms out on a busy one) and the 2 ms
 // decision deadline; at a 1024 µs tick each fired up to a tick late
 // (DESIGN.md §2b has the measurement). At 128 µs the lateness is a small
 // fraction of either delay, and a finer tick would have little left to win

@@ -32,7 +32,11 @@ struct NodeConfig {
   /// Proposer-side batching: while a member, up to this many own proposals
   /// are coalesced into one proposal_batch datagram, amortizing the
   /// header/CRC/per-datagram cost under load. 1 = off (every proposal is
-  /// its own datagram — the classic wire behavior). The decision's oal
+  /// its own datagram — the classic wire behavior). A full batch leaves at
+  /// once. A partial one leaves at the end of the current turn when the
+  /// member sent no proposal datagram in the last 1 ms, else 1 ms after
+  /// its last one: an idle member adds no batching delay, and a busy one
+  /// sends at most one partial batch per ms. The decision's oal
   /// acknowledges all of a batch's proposals collectively, so FIFO and
   /// fifo_floor semantics are unchanged.
   int max_batch = 1;

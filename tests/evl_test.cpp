@@ -140,10 +140,10 @@ TEST(EventLoop, PostWakesSleepingPollImmediately) {
 }
 
 TEST(EventLoop, SubMillisecondTimerIsNotRoundedUpToAMillisecond) {
-  // The socket path's hottest timers are the 1 ms batch flush and the 2 ms
-  // decision deadline. A 1024 µs wheel tick plus a poll(2) sleep rounded up
-  // to whole milliseconds made them fire 1-2 ms late; a 300 µs timer must
-  // fire well before the next millisecond.
+  // The socket path's hottest timers are the proposal batch flush (at
+  // most 1 ms out) and the 2 ms decision deadline. A 1024 µs wheel tick
+  // plus a poll(2) sleep rounded up to whole milliseconds made them fire
+  // 1-2 ms late; a 300 µs timer must fire well before the next millisecond.
   EventLoop loop;
   std::vector<std::int64_t> late_us;
   for (int i = 0; i < 21; ++i) {
