@@ -808,17 +808,17 @@ void TimewheelNode::assume_decider_role(sim::ClockTime now) {
   cancel_timer(fd_timer_);
   ep_.trace(TraceKind::decider_assumed, gid_, last_decision_no_ + 1);
   // Proposals that reached us while a predecessor held the role are just
-  // as fresh as ones arriving from now on: both get the batching deadline.
-  const bool prompt =
-      !orderable_proposals(now).empty() || !delivery_.missing().empty();
-  schedule_decision(prompt ? kProposalBatchDelay
-                           : cfg_.effective_decision_delay());
+  // as fresh as ones arriving from now on: both get the paced deadline.
+  schedule_decision(!orderable_proposals(now).empty() ||
+                    !delivery_.missing().empty());
 }
 
-void TimewheelNode::schedule_decision(sim::Duration delay) {
+void TimewheelNode::schedule_decision(bool prompt) {
   const auto now = sync_now();
   if (!now) return;
-  const sim::ClockTime due = *now + delay;
+  const sim::ClockTime due =
+      prompt ? std::max(*now, round_.last_round() + kProposalBatchDelay)
+             : *now + cfg_.effective_decision_delay();
   if (decision_timer_ != net::kNoTimer && decision_due_ <= due) return;
   decision_due_ = due;
   arm_sync_timer(decision_timer_, due, [this] {
@@ -983,7 +983,7 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
     send_own(p, *now);
     schedule_batch_flush();
     run_delivery(*now);
-    if (i_am_decider_) schedule_decision(kProposalBatchDelay);
+    if (i_am_decider_) schedule_decision(/*prompt=*/true);
   } else {
     pending_proposals_.push_back(std::move(p));
   }
@@ -1070,7 +1070,7 @@ void TimewheelNode::handle_proposals(ProcessId from,
   // One delivery pass and (if decider) one decision schedule for the whole
   // batch — this is where the receive-side amortization happens.
   run_delivery(*now_opt);
-  if (i_am_decider_) schedule_decision(kProposalBatchDelay);
+  if (i_am_decider_) schedule_decision(/*prompt=*/true);
 }
 
 void TimewheelNode::handle_retransmit_request(ProcessId from,
@@ -1443,6 +1443,9 @@ void TimewheelNode::enter_n_failure(sim::ClockTime now) {
   if (state_ == GcState::n_failure) return;
   set_state(GcState::n_failure);
   n_failure_since_ = now;
+  // The single-failure suspicion is superseded: a decision from the former
+  // suspect that closes this election must take the D edge like any other.
+  suspect_ = kNoProcess;
   stand_down();
   my_recon_ts_ = -1;
   my_recon_list_.clear();

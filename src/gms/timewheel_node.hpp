@@ -97,11 +97,14 @@ struct ProposeResult {
 
 class TimewheelNode final : public net::Handler {
  public:
-  /// A decider holding fresh proposals sends its decision at most this long
-  /// after the first one, instead of waiting out the idle decision delay —
-  /// a deadline, not a debounce: later proposals never postpone it.
-  /// Proposals already held when the role arrives count as fresh from the
-  /// moment it is assumed.
+  /// Minimum spacing between the ring's decisions. A decider holding fresh
+  /// work sends its decision this long after the last decision it adopted,
+  /// or at the end of the current turn if that is already past, instead of
+  /// waiting out the idle decision delay — a deadline, not a debounce:
+  /// later proposals never postpone it. An idle ring therefore orders a
+  /// fresh proposal at once, and a busy one batches whatever arrives
+  /// within the spacing. Proposals already held when the role arrives
+  /// count as fresh from the moment it is assumed.
   static constexpr sim::Duration kProposalBatchDelay = sim::msec(2);
 
   /// `store` (optional) is this process's stable storage: it must outlive
@@ -269,9 +272,11 @@ class TimewheelNode final : public net::Handler {
 
   // --- decider duties ---------------------------------------------------
   void assume_decider_role(sim::ClockTime now);
-  /// Arm the decision timer to fire `delay` from now — a deadline, not a
-  /// debounce: an armed decision is only ever moved earlier.
-  void schedule_decision(sim::Duration delay);
+  /// Arm the decision timer — a deadline, not a debounce: an armed
+  /// decision is only ever moved earlier. A `prompt` decision (we hold
+  /// fresh work) is due kProposalBatchDelay after the ring's last decision,
+  /// or now if that has passed; otherwise the idle decision delay from now.
+  void schedule_decision(bool prompt);
   void send_decision(sim::ClockTime now);
   /// The one decision emission path (rotation, joiner integration, group
   /// creation): broadcast `oal` as our decision plus a handoff copy to the

@@ -386,6 +386,60 @@ TEST(GmsFailure, ExcludedNFailureMemberJoinsAfterEveryNewMembersDecision) {
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
+TEST(GmsFailure, NFailureMemberTakesTheFormerSuspectsClosingDecision) {
+  // A member that suspected q and then entered n-failure must not count
+  // q's decision closing the multiple-failure election as "from the
+  // suspect": the election superseded that suspicion. The decision takes
+  // the D edge to failure-free, and since p is q's successor it hands p
+  // the decider role, so the ring keeps turning.
+  HarnessConfig cfg = cfg_n(5, 19);
+  cfg.perfect_clocks = true;
+  SimHarness h(cfg);
+  form_group(h);
+  const util::ProcessSet team = util::ProcessSet::full(5);
+  // p: a member whose expected decider e is neither p nor p's predecessor.
+  ProcessId p = 0;
+  while (p < 5 && (h.node(p).believed_decider() == p ||
+                   h.node(p).believed_decider() == team.predecessor_of(p)))
+    ++p;
+  ASSERT_LT(p, 5);
+  TimewheelNode& node = h.node(p);
+  const ProcessId e = node.believed_decider();
+  const ProcessId q = team.predecessor_of(p);
+  ProcessId r = 0;
+  while (r == p || r == q || r == e) ++r;
+  const sim::ClockTime now = *node.clock().now();
+
+  // p concurs with e's no-decision naming q: a single failure, suspect q.
+  NoDecision nd;
+  nd.suspect = q;
+  nd.gid = node.group_id();
+  nd.send_ts = now;
+  nd.last_decision_ts = now;
+  nd.alive = team;
+  node.on_datagram(e, nd.encode());
+  ASSERT_TRUE(node.state() == GcState::one_failure_receive ||
+              node.state() == GcState::one_failure_send)
+      << gc_state_name(node.state());
+  // r names another suspect: multiple failures.
+  nd.suspect = e;
+  node.on_datagram(r, nd.encode());
+  ASSERT_EQ(node.state(), GcState::n_failure);
+
+  // q wins the multiple-failure election and sends the closing decision.
+  bcast::Decision d;
+  d.gid = node.group_id() + 1;
+  d.group = team;
+  d.decision_no = 1;
+  d.decider = q;
+  d.send_ts = now;
+  d.alive = team;
+  node.on_datagram(q, d.encode());
+  EXPECT_EQ(node.state(), GcState::failure_free);
+  EXPECT_EQ(node.group_id(), d.gid);
+  EXPECT_TRUE(node.has_decider_role());
+}
+
 TEST(GmsFailure, NoDecisionNamingAProcessOutsideTheTeamIsDropped) {
   // A failure-free member hears a no-decision from its expected decider
   // that names suspect 100. Taking up that suspicion would index

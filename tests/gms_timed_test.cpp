@@ -250,6 +250,74 @@ TEST(GmsTimed, SuccessorHoldingProposalsDecidesWithinBatchDelay) {
     EXPECT_EQ(h.delivered(m).size(), 1u) << "p" << m;
 }
 
+TEST(GmsTimed, IdleDeciderOrdersALoneProposalAtOnce) {
+  // The decider pacing: on a ring whose last decision is at least
+  // kProposalBatchDelay old, a lone fresh proposal is ordered at the end
+  // of the decider's turn, not held for kProposalBatchDelay.
+  SimHarness h(cfg_n(3, 24));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  // Idle for longer than the spacing, still short of the idle decision.
+  h.run_for(TimewheelNode::kProposalBatchDelay + sim::msec(3));
+  ASSERT_TRUE(h.node(d).has_decider_role());
+  const std::uint64_t before = h.node(d).decisions_sent();
+  const sim::SimTime first = h.now();
+  h.propose(d, 100);
+  const sim::SimTime sent =
+      step_to_decision(h, d, before, first + sim::msec(50));
+  ASSERT_NE(sent, sim::kNever);
+  EXPECT_LE(sent - first, kStepSlack);
+  h.run_for(sim::sec(1));
+  for (ProcessId m = 0; m < 3; ++m)
+    EXPECT_EQ(h.delivered(m).size(), 1u) << "p" << m;
+}
+
+TEST(GmsTimed, DecisionsStayPacedUnderLoad) {
+  // Every member proposes every 200 µs. Decisions still go out at most once
+  // per kProposalBatchDelay, and each decider sends its decision at most
+  // kProposalBatchDelay after it took the role: any fresh proposal it held
+  // or received meanwhile waits no longer for the decision that orders it.
+  // Perfect clocks make trace times the send_ts the rule is stated in.
+  HarnessConfig cfg = cfg_n(3, 25);
+  cfg.perfect_clocks = true;
+  SimHarness h(cfg);
+  form(h);
+  h.run_for(sim::sec(1));
+  const sim::SimTime load_start = h.now();
+  std::uint64_t tag = 0;
+  while (h.now() < load_start + sim::msec(300)) {
+    for (ProcessId p = 0; p < 3; ++p) h.propose(p, ++tag);
+    h.run_for(sim::usec(200));
+  }
+  const sim::SimTime load_end = h.now();
+  h.run_for(sim::sec(1));
+
+  std::vector<sim::SimTime> assumed(3, -1);
+  sim::SimTime last_sent = -1;
+  int decisions = 0;
+  for (const sim::TraceRecord& r : h.cluster().trace_log().records()) {
+    if (r.t < load_start || r.t > load_end) continue;
+    if (r.kind == sim::TraceKind::decider_assumed) assumed[r.p] = r.t;
+    if (r.kind != sim::TraceKind::decision_sent) continue;
+    ++decisions;
+    if (last_sent >= 0)
+      EXPECT_GE(r.t - last_sent, TimewheelNode::kProposalBatchDelay)
+          << "decision at " << r.t;
+    if (assumed[r.p] >= 0)
+      EXPECT_LE(r.t - assumed[r.p],
+                TimewheelNode::kProposalBatchDelay + kStepSlack)
+          << "p" << r.p << " held the role from " << assumed[r.p];
+    last_sent = r.t;
+  }
+  // A paced ring decides about once per spacing, not once per proposal.
+  EXPECT_GT(decisions, 100);
+  EXPECT_LE(decisions, 151);
+  for (ProcessId m = 0; m < 3; ++m)
+    EXPECT_EQ(h.delivered(m).size(), tag) << "p" << m;
+}
+
 TEST(GmsTimed, LostHandoffDatagramRaisesNoSuspicion) {
   // One lost datagram must not start an election: the broadcast copy of a
   // decision is lost towards the successor, and the handoff copy the

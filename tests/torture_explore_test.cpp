@@ -130,21 +130,21 @@ TEST(TortureExplore, GuardMutationIsCaughtAndMinimizesToReplayablePlan) {
 }
 
 // The minimizer keeps a removal only while the run fails the same way. The
-// guard-off case below forks (decision p1 -> p2 dropped, p0 cut off for a
-// round). A crash of p1 just after the heal, recovered 345 ms later, leaves
-// that fork as it is. Deleting the recover op alone adds a liveness
-// failure, because p1 never comes back. Listed first, that removal is the
-// first one a minimizer blind to kinds would keep; it would then strip the
-// fork's own ops and end on the crash alone, a plan that shows only the
-// liveness failure.
+// guard-off case below forks (decision p0 -> p2 dropped, p1 cut off for a
+// bucket). A crash of p0 just before the window closes, recovered 345 ms
+// later, leaves that fork as it is. Deleting the recover op alone adds a
+// liveness failure, because p0 never comes back. Listed first, that removal
+// is the first one a minimizer blind to kinds would keep; it would then
+// strip the fork's own ops and end on the crash alone, a plan that shows
+// only the liveness failure.
 TEST(TortureExplore, MinimizerKeepsTheViolationKinds) {
   ExploreWindow w;
   ASSERT_TRUE(load_window(w));
   w.occupancy_guard = false;
-  FaultPlan plan = build_explore_case(w, -1, 5, 20);
+  FaultPlan plan = build_explore_case(w, -1, 16, 6);
   FaultOp recover;
   recover.type = FaultType::recover;
-  recover.p = 1;
+  recover.p = 0;
   recover.at = sim::msec(3700);
   FaultOp crash = recover;
   crash.type = FaultType::crash;
@@ -171,7 +171,7 @@ TEST(TortureExplore, MinimizerKeepsTheViolationKinds) {
   for (const FaultOp& op : minimized.ops)
     EXPECT_FALSE(!op.structural && (op.type == FaultType::crash ||
                                     op.type == FaultType::recover))
-        << "the minimized plan still crashes or recovers p1";
+        << "the minimized plan still crashes or recovers p0";
 }
 
 }  // namespace
