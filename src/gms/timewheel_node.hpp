@@ -74,6 +74,8 @@ struct NodeStats {
   std::uint64_t rebaseline_shed = 0;        ///< buffered deliveries shed
   std::uint64_t repair_backoffs = 0;        ///< retransmit retries delayed
   std::uint64_t resends_suppressed = 0;     ///< rate-limited control resends
+  std::uint64_t decision_pulls = 0;         ///< decision_requests sent
+  std::uint64_t pull_replies = 0;           ///< decisions resent on request
 };
 
 /// Degraded-mode ladder driven by admission-queue occupancy watermarks
@@ -224,11 +226,17 @@ class TimewheelNode final : public net::Handler {
   void handle_join(ProcessId from, Join j);
   void handle_reconfiguration(ProcessId from, Reconfiguration r);
   void handle_retransmit_request(ProcessId from, bcast::RetransmitRequest rq);
+  /// A decision pull: answer with a unicast copy of our last decision.
+  void handle_decision_request(ProcessId from);
 
   // --- FD surveillance -------------------------------------------------
   /// Point the FD at `sender` (skipping the current suspect), due 2D after
-  /// base_ts, and arm the timer.
+  /// base_ts, and arm the timer. A failure-free member watching its
+  /// expected decider arms the timer's first stage, the decision pull,
+  /// when it fits before the deadline (see the definition).
   void expect_next(ProcessId sender, sim::ClockTime base_ts);
+  /// Arm the FD timer for the expectation's deadline.
+  void arm_fd_deadline();
   void on_fd_timeout();
   /// Successor/predecessor in the current group's ring, skipping the
   /// currently suspected process.
@@ -252,8 +260,15 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] util::ProcessSet current_recon_list(std::int64_t slot) const;
 
   // --- elections / group creation ------------------------------------
-  /// Broadcast a control message and keep it for wrong-suspicion resends.
+  /// Broadcast a control message and keep it for wrong-suspicion resends
+  /// and decision pulls.
   void broadcast_control(std::vector<std::byte> bytes);
+  /// The ring-send helper for decisions and no-decisions: broadcast_control
+  /// plus a handoff copy to our ring successor (succ_active), the one member
+  /// whose failure detector reads a lost copy as a failed sender.
+  void send_ring(std::vector<std::byte> bytes);
+  /// Unicast a copy of last_control_sent_ (handoff copies, pull replies).
+  void send_last_control(ProcessId to);
   void send_no_decision(sim::ClockTime now);
   /// Our no-decision ring predecessor has spoken (Figure 2): close the
   /// election if we precede the suspect, else pass a no-decision on and
@@ -279,9 +294,8 @@ class TimewheelNode final : public net::Handler {
   void schedule_decision(bool prompt);
   void send_decision(sim::ClockTime now);
   /// The one decision emission path (rotation, joiner integration, group
-  /// creation): broadcast `oal` as our decision plus a handoff copy to the
-  /// successor, adopt it ourselves, pass the role on and send state
-  /// transfers to `joiners`.
+  /// creation): send `oal` round the ring as our decision, adopt it
+  /// ourselves, pass the role on and send state transfers to `joiners`.
   void emit_decision(bcast::Oal oal, util::ProcessSet joiners,
                      sim::ClockTime now);
   /// Held proposals a decision made now would order (FIFO per sender).
@@ -390,7 +404,8 @@ class TimewheelNode final : public net::Handler {
   /// none yet); the flush timer paces partial batches from it.
   sim::ClockTime last_batch_sent_ = INT64_MIN;
 
-  // Last control message we broadcast (for wrong-suspicion resends).
+  // Last control message we broadcast (for wrong-suspicion resends and,
+  // when it is a decision, for decision pulls).
   std::vector<std::byte> last_control_sent_;
   /// Resend budget for the current wrong-suspicion episode: count and
   /// timestamp of the last resend (reset when a new episode starts).

@@ -29,6 +29,7 @@ enum class MsgKind : std::uint8_t {
   state_transfer = 19,
   state_request = 20,
   rejoin_request = 21,
+  decision_request = 22,  ///< body-less pull of the decider's last decision
 
   // Multi-group runtime demux wrapper (tw::gms::GroupRuntime): the frame
   // is [group_tag][varint tag][inner payload]; tag 0 is never wrapped, so
@@ -61,6 +62,7 @@ enum class MsgKind : std::uint8_t {
     case MsgKind::state_transfer: return "state_transfer";
     case MsgKind::state_request: return "state_request";
     case MsgKind::rejoin_request: return "rejoin_request";
+    case MsgKind::decision_request: return "decision_request";
     case MsgKind::group_tag: return "group_tag";
     case MsgKind::heartbeat: return "heartbeat";
     case MsgKind::view_proposal: return "view_proposal";

@@ -170,7 +170,8 @@ void DatagramNetwork::set_send_budget(std::size_t bytes_per_window,
   budget_bytes_ = bytes_per_window;
   budget_window_ = window;
   is_sheddable_ = std::move(is_sheddable);
-  budget_.assign(procs_.size(), std::vector<BudgetWindow>(procs_.size()));
+  const auto n = static_cast<std::size_t>(procs_.size());
+  budget_.assign(n, std::vector<BudgetWindow>(n));
 }
 
 void DatagramNetwork::transmit(ProcessId from, ProcessId to,

@@ -115,7 +115,9 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
   if (drop_choice >= 0) {
     // Decision omission: the next decision from `sender` never reaches
     // `deaf` — every copy of it, including the handoff copy a successor
-    // gets besides the broadcast. If the drop lands on the successor
+    // gets besides the broadcast, and the next decision-kind datagram
+    // after it too, which is the copy `deaf` pulls when it watches
+    // `sender` as its decider. If the drop lands on the successor
     // decider's inbound decision, the successor re-orders the
     // still-unordered proposals at ordinals the lost decision already
     // assigned — the within-epoch fork the delivery engine's occupancy
@@ -133,7 +135,7 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
     op.p = sender;
     op.kind = net::kind_byte(net::MsgKind::decision);
     op.targets = util::ProcessSet{static_cast<ProcessId>(deaf)};
-    op.count = 1;
+    op.count = 2;
     plan.ops.push_back(op);
   }
 

@@ -71,6 +71,10 @@ TEST(GmsBasic, FailureFreeSendsNoMembershipMessages) {
   EXPECT_EQ(stats.by_kind[net::kind_byte(net::MsgKind::reconfiguration)].sent,
             rc0);
   EXPECT_EQ(stats.by_kind[net::kind_byte(net::MsgKind::join)].sent, join0);
+  // Nor does the decision pull: on a lossless ring every decision is in
+  // before a member would ask for it, formation included.
+  EXPECT_EQ(
+      stats.by_kind[net::kind_byte(net::MsgKind::decision_request)].sent, 0u);
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 

@@ -92,6 +92,34 @@ TEST(GmsFailure, EveryCrashedMemberPositionWorks) {
   }
 }
 
+TEST(GmsFailure, LostNoDecisionHopKeepsTheElectionSingleFailure) {
+  // The first no-decision of a crash election loses its broadcast copy
+  // towards the next ring member. The handoff copy its sender unicasts to
+  // that member alongside still carries the hop, so the election closes as
+  // a single-failure one and no member escalates to the multiple-failure
+  // election.
+  SimHarness h(cfg_n(5, 2));
+  form_group(h);
+  const util::ProcessSet team = util::ProcessSet::full(5);
+  const ProcessId victim = 3;
+  const ProcessId opener = team.successor_of(victim);
+  h.faults().crash_at(h.now() + sim::msec(100), victim);
+  h.cluster().network().arm_drop(
+      opener, net::kind_byte(net::MsgKind::no_decision),
+      util::ProcessSet{team.successor_of(opener)}, 1);
+  util::ProcessSet expected = team;
+  expected.erase(victim);
+  ASSERT_TRUE(h.run_until_group(expected, h.now() + sim::sec(10)));
+  EXPECT_EQ(h.cluster().network().stats().total.dropped_rule, 1u);
+  for (const sim::TraceRecord& r :
+       h.cluster().trace_log().of_kind(sim::TraceKind::state_changed))
+    EXPECT_NE(r.a, static_cast<std::uint64_t>(GcState::n_failure))
+        << "p" << r.p << " entered n-failure at " << r.t;
+  for (ProcessId p : expected)
+    EXPECT_EQ(h.node(p).stats().reconfigurations_sent, 0u) << "p" << p;
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
 TEST(GmsFailure, FalseSuspicionDoesNotChangeMembership) {
   // Drop one decision message towards everyone: the successor suspects the
   // decider, but some member still holding the decision (the decider

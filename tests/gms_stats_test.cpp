@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gms/sim_harness.hpp"
+#include "net/msg_kind.hpp"
 
 namespace tw::gms {
 namespace {
@@ -96,11 +97,13 @@ TEST(NodeStats, WrongSuspicionCounted) {
   ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(5), sim::sec(10)));
   h.run_for(sim::sec(1));
   // Drop one decision towards two members only (every copy, so the
-  // successor's handoff copy is lost too if it is one of them): the rest
-  // hold it and at least one enters wrong-suspicion when the ring starts.
+  // successor's handoff copy is lost too if it is one of them), and the
+  // next two decision-kind datagrams too: the copies the two members pull
+  // when they see no decision in time. The rest hold it and at least one
+  // enters wrong-suspicion when the ring starts.
   h.cluster().network().arm_drop_message(
       h.node(0).believed_decider(),
-      net::kind_byte(net::MsgKind::decision), util::ProcessSet({3, 4}), 1);
+      net::kind_byte(net::MsgKind::decision), util::ProcessSet({3, 4}), 3);
   h.run_for(sim::sec(4));
   std::uint64_t ws = 0;
   for (ProcessId p = 0; p < 5; ++p) ws += h.node(p).stats().wrong_suspicions;
@@ -118,9 +121,16 @@ TEST(NodeStats, MetricsSnapshotMirrorsNodeStatsAndNetCounters) {
   h.start();
   ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(4), sim::sec(10)));
   for (std::uint64_t i = 0; i < 3; ++i) h.propose(2, i);
+  // One decision lost towards the decider's successor, so the run also
+  // repairs a hop with a decision pull.
+  const ProcessId decider = h.node(0).believed_decider();
+  h.cluster().network().arm_drop_message(
+      decider, net::kind_byte(net::MsgKind::decision),
+      util::ProcessSet{h.node(0).group().successor_of(decider)}, 1);
   h.run_for(sim::sec(2));
 
   const obs::MetricsSnapshot snap = h.metrics();
+  std::uint64_t pulls = 0, replies = 0;
   for (ProcessId p = 0; p < 4; ++p) {
     const NodeStats& s = h.node(p).stats();
     const std::string prefix = "gms.p" + std::to_string(p) + '.';
@@ -128,7 +138,13 @@ TEST(NodeStats, MetricsSnapshotMirrorsNodeStatsAndNetCounters) {
     EXPECT_EQ(snap.value(prefix + "proposals_sent"), s.proposals_sent);
     EXPECT_EQ(snap.value(prefix + "views_installed"), s.views_installed);
     EXPECT_EQ(snap.value(prefix + "exclusions"), s.exclusions);
+    EXPECT_EQ(snap.value(prefix + "decision_pulls"), s.decision_pulls);
+    EXPECT_EQ(snap.value(prefix + "pull_replies"), s.pull_replies);
+    pulls += s.decision_pulls;
+    replies += s.pull_replies;
   }
+  EXPECT_GE(pulls, 1u);
+  EXPECT_GE(replies, 1u);
   EXPECT_EQ(snap.value("gms.p2.proposals_sent"), 3u);
   EXPECT_EQ(snap.sum_prefix("gms.") > 0, true);
 
@@ -136,6 +152,7 @@ TEST(NodeStats, MetricsSnapshotMirrorsNodeStatsAndNetCounters) {
   EXPECT_GT(snap.value("net.sent"), 0u);
   EXPECT_GT(snap.value("net.delivered"), 0u);
   EXPECT_GT(snap.value("net.kind.decision.sent"), 0u);
+  EXPECT_EQ(snap.value("net.kind.decision_request.sent"), pulls);
   EXPECT_EQ(snap.value("net.dropped_corrupt"), 0u);
 
   // The merged trace exists and exports to parseable JSONL.

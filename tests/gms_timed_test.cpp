@@ -24,6 +24,11 @@ sim::SimTime form(SimHarness& h) {
   return h.now();
 }
 
+// How far from the predecessor's decision + 2D a suspicion may land in
+// simulated time: the spread of the members' synchronized clocks (within
+// 1.3 ms over seeds 1-40) plus the timer's scheduling delay.
+constexpr double kDetectSlack = 2000.0;  // µs
+
 TEST(GmsTimed, DetectionWithinRotationPlusTwoD) {
   // Crash → suspicion within (N-1)·(decision_delay + δ + σ) + 2D + ε + σ.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -43,6 +48,16 @@ TEST(GmsTimed, DetectionWithinRotationPlusTwoD) {
         4 * (nc.effective_decision_delay() + nc.delta + nc.sigma) +
         nc.fd_timeout() + sim::msec(25);
     EXPECT_LE(suspected - crash_at, budget) << "seed " << seed;
+    // The decision pull leaves detection where it was: the crashed decider
+    // is first suspected 2D after its predecessor's decision, the last one
+    // sent before the suspicion.
+    sim::SimTime predecessor_decision = -1;
+    for (const sim::TraceRecord& r : h.cluster().trace_log().records())
+      if (r.kind == sim::TraceKind::decision_sent && r.t <= suspected)
+        predecessor_decision = r.t;
+    EXPECT_NEAR(static_cast<double>(suspected - predecessor_decision),
+                static_cast<double>(nc.fd_timeout()), kDetectSlack)
+        << "seed " << seed;
   }
 }
 
@@ -214,9 +229,11 @@ TEST(GmsTimed, DecisionDeadlineCountsFromFirstFreshProposal) {
   const std::uint64_t before = h.node(d).decisions_sent();
   const sim::SimTime first = h.now();
   h.propose(d, 100);
-  for (int i = 1; i < 20; ++i)
+  for (int i = 1; i < 20; ++i) {
+    const auto tag = static_cast<std::uint64_t>(100 + i);
     h.cluster().simulator().at(first + i * sim::msec(1),
-                               [&h, d, i] { h.propose(d, 100 + i); });
+                               [&h, d, tag] { h.propose(d, tag); });
+  }
   const sim::SimTime sent =
       step_to_decision(h, d, before, first + sim::msec(50));
   ASSERT_NE(sent, sim::kNever);
@@ -302,13 +319,15 @@ TEST(GmsTimed, DecisionsStayPacedUnderLoad) {
     if (r.kind == sim::TraceKind::decider_assumed) assumed[r.p] = r.t;
     if (r.kind != sim::TraceKind::decision_sent) continue;
     ++decisions;
-    if (last_sent >= 0)
+    if (last_sent >= 0) {
       EXPECT_GE(r.t - last_sent, TimewheelNode::kProposalBatchDelay)
           << "decision at " << r.t;
-    if (assumed[r.p] >= 0)
+    }
+    if (assumed[r.p] >= 0) {
       EXPECT_LE(r.t - assumed[r.p],
                 TimewheelNode::kProposalBatchDelay + kStepSlack)
           << "p" << r.p << " held the role from " << assumed[r.p];
+    }
     last_sent = r.t;
   }
   // A paced ring decides about once per spacing, not once per proposal.
@@ -332,6 +351,39 @@ TEST(GmsTimed, LostHandoffDatagramRaisesNoSuspicion) {
                                  util::ProcessSet{q}, 1);
   h.run_for(sim::sec(2));
   EXPECT_EQ(h.cluster().network().stats().total.dropped_rule, 1u);
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_EQ(h.node(p).stats().suspicions_raised, 0u) << "p" << p;
+    EXPECT_EQ(h.node(p).stats().no_decisions_sent, 0u) << "p" << p;
+  }
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(GmsTimed, SuccessorPullsALostDecisionBeforeTheDeadline) {
+  // Every copy of one decision towards the successor is lost, the broadcast
+  // and the handoff copy alike. Once nothing came by decision delay + δ + σ
+  // the successor pulls the decision from the decider, takes the role and
+  // decides before its 2D deadline: nobody suspects the live decider.
+  SimHarness h(cfg_n(5, 23));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  // The successor's deadline counts from the decision that made d decider.
+  sim::SimTime base = -1;
+  for (const sim::TraceRecord& r : h.cluster().trace_log().records())
+    if (r.kind == sim::TraceKind::decision_sent) base = r.t;
+  ASSERT_GE(base, 0);
+  const ProcessId q = h.node(d).group().successor_of(d);
+  const std::uint64_t before = h.node(q).decisions_sent();
+  h.cluster().network().arm_drop_message(
+      d, net::kind_byte(net::MsgKind::decision), util::ProcessSet{q}, 1);
+  const sim::SimTime sent =
+      step_to_decision(h, q, before, h.now() + sim::sec(1));
+  ASSERT_NE(sent, sim::kNever);
+  EXPECT_LT(sent - base, h.node(q).config().fd_timeout());
+  h.run_for(sim::sec(1));
+  EXPECT_EQ(h.node(q).stats().decision_pulls, 1u);
+  EXPECT_EQ(h.node(d).stats().pull_replies, 1u);
   for (ProcessId p = 0; p < 5; ++p) {
     EXPECT_EQ(h.node(p).stats().suspicions_raised, 0u) << "p" << p;
     EXPECT_EQ(h.node(p).stats().no_decisions_sent, 0u) << "p" << p;

@@ -130,18 +130,18 @@ TEST(TortureExplore, GuardMutationIsCaughtAndMinimizesToReplayablePlan) {
 }
 
 // The minimizer keeps a removal only while the run fails the same way. The
-// guard-off case below forks (decision p0 -> p2 dropped, p1 cut off for a
-// bucket). A crash of p0 just before the window closes, recovered 345 ms
-// later, leaves that fork as it is. Deleting the recover op alone adds a
-// liveness failure, because p0 never comes back. Listed first, that removal
-// is the first one a minimizer blind to kinds would keep; it would then
-// strip the fork's own ops and end on the crash alone, a plan that shows
-// only the liveness failure.
+// guard-off case below forks (decision p0 -> p2 dropped with the copy p2
+// pulls, p1 cut off for a bucket). A crash of p0 just before the window
+// closes, recovered 345 ms later, leaves that fork as it is. Deleting the
+// recover op alone adds a liveness failure, because p0 never comes back.
+// Listed first, that removal is the first one a minimizer blind to kinds
+// would keep; it would then strip the fork's own ops and end on the crash
+// alone, a plan that shows only the liveness failure.
 TEST(TortureExplore, MinimizerKeepsTheViolationKinds) {
   ExploreWindow w;
   ASSERT_TRUE(load_window(w));
   w.occupancy_guard = false;
-  FaultPlan plan = build_explore_case(w, -1, 16, 6);
+  FaultPlan plan = build_explore_case(w, -1, 18, 7);
   FaultOp recover;
   recover.type = FaultType::recover;
   recover.p = 0;
