@@ -64,9 +64,11 @@ struct NodeConfig {
   /// 0 = unbounded.
   std::size_t max_buffered_deliveries = 4096;
   /// Mutation switch for model checking (torture --explore): false disables
-  /// the delivery engine's ordinal-occupancy conflict repair, reintroducing
-  /// the within-epoch lineage fork the guard exists to catch. Production
-  /// and every test except the explore mutation suite leave this true.
+  /// the occupancy guard — the delivery engine's ordinal-occupancy conflict
+  /// repair, and a state transfer's keeping of a fresher same-epoch window
+  /// — reintroducing the within-epoch lineage fork the guard exists to
+  /// catch. Production and every test except the explore mutation suite
+  /// leave this true.
   bool occupancy_guard = true;
 
   [[nodiscard]] sim::Duration effective_decision_delay() const {

@@ -222,6 +222,16 @@ void Rebaseline::handle_transfer(ProcessId from, StateTransfer st) {
   TW_DEBUG("p" << node_.self() << " state transfer: " << st.proposals.size()
                << " proposals, " << st.marks.ordered_below.size()
                << " ordered-below marks");
+  // The donor built this transfer with its decision; a later decision of the
+  // same epoch may have reached us first. Its window binds ordinals past the
+  // transfer's window, which we may already have delivered and which we
+  // would bind a second time as the next decider had the transfer rewound
+  // our window. Keeping it is part of the occupancy guard (the mutation
+  // switch turns both off).
+  const bcast::Oal kept = node_.delivery_.adopted();
+  const bool keep_window = node_.cfg_.occupancy_guard &&
+                           kept.epoch() == st.oal.epoch() &&
+                           kept.next_ordinal() > st.oal.next_ordinal();
   if (node_.app_.set_state) node_.app_.set_state(st.app_state);
   // The transferred state already reflects these deliveries/orderings;
   // import the marks BEFORE buffering proposals so nothing is delivered or
@@ -246,6 +256,9 @@ void Rebaseline::handle_transfer(ProcessId from, StateTransfer st) {
   });
   for (const auto& p : st.proposals) node_.delivery_.note_proposal(p, *now);
   node_.delivery_.adopt_oal(st.oal, st.gid);
+  // Importing the marks unbound every undelivered binding; re-adopting the
+  // fresher window binds its ordinals again.
+  if (keep_window) node_.delivery_.adopt_oal(kept, kept.epoch());
   if (awaiting_ || app_state_suspect()) {
     const bool was_dirty = dirty_;
     const bool was_forked = forked_;
