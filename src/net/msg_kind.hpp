@@ -29,7 +29,7 @@ enum class MsgKind : std::uint8_t {
   state_transfer = 19,
   state_request = 20,
   rejoin_request = 21,
-  decision_request = 22,  ///< body-less pull of the decider's last decision
+  decision_request = 22,  ///< pull of the decider's last decision
 
   // Multi-group runtime demux wrapper (tw::gms::GroupRuntime): the frame
   // is [group_tag][varint tag][inner payload]; tag 0 is never wrapped, so

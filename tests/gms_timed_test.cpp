@@ -391,6 +391,30 @@ TEST(GmsTimed, SuccessorPullsALostDecisionBeforeTheDeadline) {
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
+TEST(GmsTimed, ASuccessorThatLostItsRoleAnswersNoPull) {
+  // Every copy of one decision towards the successor q is lost, and so is
+  // the copy q pulls. q never takes the role, and the members watching q
+  // pull from it. q's own last decision is a lap old, and every requester
+  // holds it: q answers none of those pulls.
+  SimHarness h(cfg_n(5, 23));
+  form(h);
+  h.run_for(sim::sec(1));
+  const ProcessId d = step_to_role_handoff(h);
+  ASSERT_NE(d, kNoProcess);
+  const ProcessId q = h.node(d).group().successor_of(d);
+  h.cluster().network().arm_drop_message(
+      d, net::kind_byte(net::MsgKind::decision), util::ProcessSet{q}, 2);
+  h.run_for(sim::sec(2));
+  EXPECT_EQ(h.node(q).stats().decision_pulls, 1u);
+  EXPECT_EQ(h.node(d).stats().pull_replies, 1u);
+  std::uint64_t pulls_to_q = 0;
+  for (ProcessId p = 0; p < 5; ++p)
+    if (p != q && p != d) pulls_to_q += h.node(p).stats().decision_pulls;
+  EXPECT_GE(pulls_to_q, 1u);
+  EXPECT_EQ(h.node(q).stats().pull_replies, 0u);
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
 TEST(GmsTimed, LateMessageStormDoesNotSplitTheGroup) {
   // Persistent performance failures (late messages beyond δ) degrade but
   // must never produce two concurrent groups.
