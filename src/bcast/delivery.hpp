@@ -96,9 +96,17 @@ class DeliveryEngine {
   /// Delivered proposals that still have undefined ordinals (dpd field).
   [[nodiscard]] std::vector<ProposalId> dpd() const;
 
-  /// Proposals listed in the adopted oal whose payload we lack (and that
-  /// are not undeliverable) — candidates for retransmission requests.
-  [[nodiscard]] std::vector<ProposalId> missing() const;
+  /// Entries of the adopted oal whose payload we lack (and that are not
+  /// undeliverable) — candidates for retransmission requests. The pointers
+  /// are valid until the next adopt_oal.
+  [[nodiscard]] std::vector<const OalEntry*> missing() const;
+
+  /// True when the adopted oal holds a strong or strict entry still short
+  /// of its quorum in `group` (a majority for strong, every member for
+  /// strict) that this member holds, has not marked and has not yet
+  /// acknowledged: a decision of ours would carry the missing ack.
+  [[nodiscard]] bool owes_quorum_ack(util::ProcessSet group,
+                                     sim::ClockTime sync_now) const;
 
   // --- undeliverable marks (paper §4.3) ---------------------------------
   /// Mark every proposal from `q` that we have NOT yet received as locally

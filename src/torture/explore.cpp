@@ -121,7 +121,9 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
     // decider's inbound decision, the successor re-orders the
     // still-unordered proposals at ordinals the lost decision already
     // assigned — the within-epoch fork the delivery engine's occupancy
-    // guard repairs.
+    // guard repairs. The omission also loses every member's next
+    // retransmit request: a member that asks for an overdue payload at once
+    // would otherwise repair it ahead of the decisions the fork needs.
     const int others = window.n - 1;
     const auto sender =
         static_cast<ProcessId>(drop_choice / (others * positions));
@@ -137,6 +139,14 @@ FaultPlan build_explore_case(const ExploreWindow& window, int crash_choice,
     op.targets = util::ProcessSet{static_cast<ProcessId>(deaf)};
     op.count = 2;
     plan.ops.push_back(op);
+    FaultOp repair = op;
+    repair.kind = net::kind_byte(net::MsgKind::retransmit_request);
+    repair.targets = util::ProcessSet::full(static_cast<ProcessId>(window.n));
+    repair.count = 1;
+    for (ProcessId q = 0; q < static_cast<ProcessId>(window.n); ++q) {
+      repair.p = q;
+      plan.ops.push_back(repair);
+    }
   }
 
   if (part_choice >= 0) {

@@ -207,7 +207,7 @@ TEST(Delivery, MissingListsUnheldOalEntries) {
       Rig::proposal(1, 5, Order::total, Atomicity::weak), 1000);
   const auto missing = rig.engine.missing();
   ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0], (ProposalId{2, 9}));
+  EXPECT_EQ(missing[0]->pid, (ProposalId{2, 9}));
 }
 
 TEST(Delivery, DuplicateProposalIgnored) {

@@ -108,6 +108,105 @@ INSTANTIATE_TEST_SUITE_P(All, SemanticsMatrix, ::testing::ValuesIn(matrix()),
                          case_name);
 
 // ---------------------------------------------------------------------------
+// Strong and strict delivery at the ring's pace, and loss repair on each
+// payload's own clock.
+// ---------------------------------------------------------------------------
+
+/// Simulated time from `proposed` until every member delivered `tag`
+/// (kNever if some member never did).
+sim::Duration all_member_latency(const SimHarness& h, std::uint64_t tag,
+                                 sim::SimTime proposed) {
+  sim::SimTime last = -1;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(h.n()); ++p) {
+    sim::SimTime at = sim::kNever;
+    for (const auto& rec : h.delivered(p))
+      if (SimHarness::payload_tag(rec.payload) == tag) at = rec.at;
+    if (at == sim::kNever) return sim::kNever;
+    last = std::max(last, at);
+  }
+  return last - proposed;
+}
+
+TEST(AckPace, LoneStrongAndStrictUpdatesReachEveryMemberPromptly) {
+  // The ack bits a strong or strict update waits for travel on decisions.
+  // A decider that would add a missing ack decides at the ring's pace, not
+  // after the idle decision delay, so on an idle 5-member ring a lone
+  // strong update reaches every member within about one majority of ring
+  // hops and a strict one within about one lap.
+  const std::pair<bcast::Atomicity, sim::Duration> cases[] = {
+      {bcast::Atomicity::strong, sim::msec(10)},
+      {bcast::Atomicity::strict, sim::msec(15)},
+  };
+  for (const auto& [atomicity, bound] : cases) {
+    SimHarness h(cfg_n(5, 31));
+    form(h);
+    h.run_for(sim::sec(1));
+    const sim::SimTime proposed = h.now();
+    h.propose(2, 42, bcast::Order::total, atomicity);
+    h.run_for(sim::sec(1));
+    EXPECT_LE(all_member_latency(h, 42, proposed), bound)
+        << bcast::atomicity_name(atomicity);
+    EXPECT_TRUE(h.check_all_invariants().empty());
+  }
+}
+
+TEST(LossRepair, LosslessRunAsksForNoPayload) {
+  // Every member proposes every 200 µs, so decisions often reach a member
+  // before the proposals they order. A copy still in flight is never asked
+  // for: with no loss, nobody sends a retransmit request.
+  SimHarness h(cfg_n(5, 32));
+  form(h);
+  h.run_for(sim::sec(1));
+  const sim::SimTime load_start = h.now();
+  std::uint64_t tag = 0;
+  while (h.now() < load_start + sim::msec(300)) {
+    for (ProcessId p = 0; p < 5; ++p) h.propose(p, ++tag);
+    h.run_for(sim::usec(200));
+  }
+  h.run_for(sim::sec(1));
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_EQ(h.node(p).stats().retransmit_requests_sent, 0u) << "p" << p;
+    EXPECT_EQ(h.delivered(p).size(), tag) << "p" << p;
+  }
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(LossRepair, ANewLossIsAskedForWhenOverdueDuringAnotherBackoff) {
+  // p1 misses p3's update, and its first two requests for it are lost, so
+  // that repair backs off. Meanwhile p1 misses p4's update too. The new
+  // loss is asked for once overdue, δ after it was sent, not at the old
+  // repair's next step.
+  SimHarness h(cfg_n(5, 33));
+  form(h);
+  h.run_for(sim::sec(1));
+  auto& net_layer = h.cluster().network();
+  net_layer.arm_drop(3, net::kind_byte(net::MsgKind::proposal),
+                     util::ProcessSet{1}, 1);
+  net_layer.arm_drop(1, net::kind_byte(net::MsgKind::retransmit_request),
+                     util::ProcessSet::full(5), 2);
+  h.propose(3, 1, bcast::Order::unordered);
+  const sim::SimTime limit = h.now() + sim::msec(200);
+  while (h.node(1).stats().retransmit_requests_sent < 2 && h.now() < limit)
+    h.run_for(sim::usec(100));
+  ASSERT_EQ(h.node(1).stats().retransmit_requests_sent, 2u);
+  net_layer.arm_drop(4, net::kind_byte(net::MsgKind::proposal),
+                     util::ProcessSet{1}, 1);
+  const sim::SimTime proposed = h.now();
+  h.propose(4, 2, bcast::Order::unordered);
+  h.run_for(sim::sec(1));
+  const auto& nc = h.node(1).config();
+  sim::SimTime repaired = sim::kNever;
+  for (const auto& rec : h.delivered(1))
+    if (SimHarness::payload_tag(rec.payload) == 2) repaired = rec.at;
+  // Overdue δ after it was sent; the slack covers the synchronized clocks'
+  // spread and the answer's transit.
+  EXPECT_LE(repaired - proposed, nc.delta + sim::msec(5));
+  for (ProcessId p = 0; p < 5; ++p)
+    EXPECT_EQ(h.delivered(p).size(), 2u) << "p" << p;
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+// ---------------------------------------------------------------------------
 // §4.3 end-to-end: a lost proposal of a departed member must be delivered
 // by NOBODY, and its FIFO successors cascade.
 // ---------------------------------------------------------------------------

@@ -130,10 +130,11 @@ TEST(TortureExplore, GuardMutationIsCaughtAndMinimizesToReplayablePlan) {
 }
 
 // The minimizer keeps a removal only while the run fails the same way. The
-// guard-off case below forks (decision p0 -> p2 dropped with the copy p2
-// pulls, p1 cut off for a bucket). A crash of p0 just before the window
-// closes, recovered 345 ms later, leaves that fork as it is. Deleting the
-// recover op alone adds a liveness failure, because p0 never comes back.
+// guard-off case below forks (decision p0 -> p2 dropped twice, every
+// member's next retransmit request lost, p1 cut off for a bucket). A crash
+// of p0 just before the window closes, recovered 345 ms later, leaves that
+// fork as it is. Deleting the recover op alone adds a liveness failure,
+// because p0 never comes back.
 // Listed first, that removal is the first one a minimizer blind to kinds
 // would keep; it would then strip the fork's own ops and end on the crash
 // alone, a plan that shows only the liveness failure.
@@ -150,7 +151,7 @@ TEST(TortureExplore, MinimizerKeepsTheViolationKinds) {
   crash.type = FaultType::crash;
   crash.at = sim::msec(3355);
   plan.ops.insert(plan.ops.begin(), recover);
-  plan.ops.insert(plan.ops.begin() + 4, crash);  // after the drop and cut
+  plan.ops.insert(plan.ops.begin() + 7, crash);  // after the omission and cut
 
   const auto bit = [](ViolationKind k) {
     return 1u << static_cast<unsigned>(k);
