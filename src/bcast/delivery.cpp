@@ -617,9 +617,11 @@ std::size_t DeliveryEngine::buffered_proposals() const {
 
 std::size_t DeliveryEngine::own_outstanding() const {
   std::size_t n = 0;
+  // A binding below the transferred watermark counts as delivered: the
+  // stream never reaches it, and the transferred state reflects it.
   for (const auto& [pid, s] : slots_)
     if (pid.proposer == self_ && s.have && !s.delivered &&
-        !s.oal_undeliverable)
+        s.ordinal >= transferred_below_ && !s.oal_undeliverable)
       ++n;
   return n;
 }

@@ -182,7 +182,8 @@ class DeliveryEngine {
   [[nodiscard]] Ordinal stream_cursor() const { return cursor_; }
   [[nodiscard]] std::size_t buffered_proposals() const;
   /// Own proposals admitted but not yet delivered (nor marked
-  /// undeliverable) — the member-side half of the admission occupancy.
+  /// undeliverable, nor covered by a state transfer) — the member-side
+  /// half of the admission occupancy.
   [[nodiscard]] std::size_t own_outstanding() const;
 
  private:

@@ -20,7 +20,7 @@ namespace tw::gms {
 struct NoDecision {
   ProcessId suspect = kNoProcess;
   GroupId gid = 0;                  ///< sender's current group
-  sim::ClockTime send_ts = 0;
+  sim::ClockTime send_ts = -1;      ///< -1: none sent
   sim::ClockTime last_decision_ts = 0;  ///< freshest decision sender knows
   util::ProcessSet alive;           ///< piggybacked alive-list
   bcast::Oal view;                  ///< sender's oal view v_p
@@ -32,7 +32,7 @@ struct NoDecision {
 
 /// Sent in the sender's time slot while it wants to (re)join.
 struct Join {
-  sim::ClockTime send_ts = 0;
+  sim::ClockTime send_ts = -1;  ///< -1: none sent
   util::ProcessSet join_list;  ///< always contains the sender
   /// Timestamp of the freshest decision the sender knows (-1 if none):
   /// lets the join protocol elect the most-knowledgeable process as the

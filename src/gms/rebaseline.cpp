@@ -197,27 +197,22 @@ void Rebaseline::donate(util::ProcessSet to, sim::ClockTime send_ts) {
 
 void Rebaseline::handle_request(ProcessId from,
                                 std::optional<sim::ClockTime> rejoin_ts) {
-  const auto now = node_.sync_now();
-  if (!now) return;
   // The gate applies only the staleness check to a rejoin solicitation —
   // recording the sender in the failure detector would refresh a zombie's
   // standing as a live member. A state_request (a joiner lost its
   // transfer) carries no timestamp to check.
-  if (rejoin_ts &&
-      node_.round_.admit({RoundMsg::rejoin_request, from, *rejoin_ts}, *now) !=
-          RoundDrop::accepted)
-    return;
-  donate(util::ProcessSet{from}, *now);
+  const auto now =
+      rejoin_ts ? node_.admit({RoundMsg::rejoin_request, from, *rejoin_ts})
+                : node_.sync_now();
+  if (now) donate(util::ProcessSet{from}, *now);
 }
 
 void Rebaseline::handle_transfer(ProcessId from, StateTransfer st) {
-  const auto now = node_.sync_now();
   // Durable-floor and epoch fences live in the gate; a transfer carries no
   // liveness claim, so the gate applies only those for this kind.
-  if (!now ||
-      node_.round_.admit({RoundMsg::state_transfer, from, st.send_ts, st.gid},
-                         *now) != RoundDrop::accepted)
-    return;
+  const auto now =
+      node_.admit({RoundMsg::state_transfer, from, st.send_ts, st.gid});
+  if (!now) return;
   ++node_.stats_.state_transfers_received;
   TW_DEBUG("p" << node_.self() << " state transfer: " << st.proposals.size()
                << " proposals, " << st.marks.ordered_below.size()

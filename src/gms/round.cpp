@@ -35,7 +35,7 @@ bool RoundGate::fresh(sim::ClockTime ts, sim::ClockTime now) const {
   return ts >= 0 && now - ts <= node_.cfg_.staleness_bound(node_.n_);
 }
 
-void RoundGate::drop(const Inbound& m, RoundDrop why) {
+RoundDrop RoundGate::drop(const Inbound& m, RoundDrop why) {
   ++node_.stats_.stale_dropped;
   if (auto* rec = node_.ep_.obs()) {
     const auto arg = static_cast<std::uint8_t>(
@@ -48,6 +48,7 @@ void RoundGate::drop(const Inbound& m, RoundDrop why) {
                << round_msg_name(m.kind) << " from p" << m.from << " ("
                << round_drop_name(why) << ", epoch " << m.epoch << ", round "
                << m.send_ts << ")");
+  return why;
 }
 
 RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
@@ -67,8 +68,7 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
       TW_WARN("p" << node_.self() << ": ignoring stale state transfer (gid "
                   << m.epoch << " < durable floor " << durable_floor_
                   << ")");
-      drop(m, RoundDrop::durable_floor);
-      return RoundDrop::durable_floor;
+      return drop(m, RoundDrop::durable_floor);
     }
     // Epoch fence: a transfer built in an older epoch than the view we
     // have installed describes a superseded branch — adopting it would
@@ -81,8 +81,7 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
       TW_WARN("p" << node_.self()
                   << ": refusing state transfer from stale epoch " << m.epoch
                   << " (installed " << node_.gid_ << ")");
-      drop(m, RoundDrop::old_epoch);
-      return RoundDrop::old_epoch;
+      return drop(m, RoundDrop::old_epoch);
     }
     return RoundDrop::accepted;
   }
@@ -90,26 +89,20 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
   // Fail-aware rejection of late messages ("p can detect all messages from
   // non-Δ-stable processes as being late and can reject them", §3): a
   // control message older than about a cycle is useless and dangerous.
-  if (now - m.send_ts > cfg.staleness_bound(node_.n_)) {
-    drop(m, RoundDrop::stale);
-    return RoundDrop::stale;
-  }
+  if (now - m.send_ts > cfg.staleness_bound(node_.n_))
+    return drop(m, RoundDrop::stale);
 
   // A rejoin solicitation passes the staleness check only: recording its
   // sender in the failure detector would refresh a zombie's standing as a
   // live member, and the message carries no round/epoch claim to fence.
   if (m.kind == RoundMsg::rejoin_request) return RoundDrop::accepted;
 
-  if (m.send_ts - now > node_.clock_.epsilon() + cfg.sigma + cfg.delta) {
-    // From the future: the sender's clock is broken.
-    drop(m, RoundDrop::future);
-    return RoundDrop::future;
-  }
+  // From the future: the sender's clock is broken.
+  if (m.send_ts - now > node_.clock_.epsilon() + cfg.sigma + cfg.delta)
+    return drop(m, RoundDrop::future);
   // Duplicate / old-message filter (§4.2).
-  if (!node_.fd_.newer_than_seen(m.from, m.send_ts)) {
-    drop(m, RoundDrop::duplicate);
-    return RoundDrop::duplicate;
-  }
+  if (!node_.fd_.newer_than_seen(m.from, m.send_ts))
+    return drop(m, RoundDrop::duplicate);
   // The message is live and fresh from its sender's point of view: the FD's
   // receive bookkeeping happens HERE, before the round/epoch fences below —
   // a message from a closed round still proves its sender is alive.
@@ -117,16 +110,12 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
   if (m.alive != nullptr)
     node_.fd_.note_peer_alive_list(m.from, *m.alive, now);
 
-  if (m.kind == RoundMsg::decision || m.kind == RoundMsg::no_decision) {
-    // Round fence: a decision at or before the freshest round we adopted
-    // teaches us nothing; a no-decision from such a round belongs to an
-    // episode a decision already resolved and must not feed a new
-    // election.
-    if (m.send_ts <= last_round_) {
-      drop(m, RoundDrop::old_round);
-      return RoundDrop::old_round;
-    }
-  }
+  // Round fence: a decision at or before the freshest round we adopted
+  // teaches us nothing; a no-decision from such a round belongs to an
+  // episode a decision already resolved and must not feed a new election.
+  if ((m.kind == RoundMsg::decision || m.kind == RoundMsg::no_decision) &&
+      m.send_ts <= last_round_)
+    return drop(m, RoundDrop::old_round);
 
   if (m.kind == RoundMsg::decision) {
     // Epoch fence: the round check above is a heuristic, not an order —
@@ -140,8 +129,7 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
         rec->emit(obs::EvKind::epoch_fence, 1, m.epoch, node_.gid_);
       TW_DEBUG("p" << node_.self() << ": refusing stale-epoch decision (gid "
                    << m.epoch << " < installed " << node_.gid_ << ")");
-      drop(m, RoundDrop::old_epoch);
-      return RoundDrop::old_epoch;
+      return drop(m, RoundDrop::old_epoch);
     }
     // Fail-aware lateness rejection (§3): a decision older than δ + ε + σ
     // was sent by a process that is not Δ-stable towards us; acting on it
@@ -158,10 +146,7 @@ RoundDrop RoundGate::admit(const Inbound& m, sim::ClockTime now) {
         node_.suspect_ != kNoProcess && m.from == node_.suspect_;
     const bool late =
         now - m.send_ts > cfg.delta + 2 * (node_.clock_.epsilon() + cfg.sigma);
-    if (late && !from_suspect) {
-      drop(m, RoundDrop::late);
-      return RoundDrop::late;
-    }
+    if (late && !from_suspect) return drop(m, RoundDrop::late);
   }
 
   return RoundDrop::accepted;

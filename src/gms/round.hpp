@@ -102,7 +102,8 @@ class RoundGate {
   void reset() { last_round_ = -1; }
 
  private:
-  void drop(const Inbound& m, RoundDrop why);
+  /// Emit round_drop and bump gms.stale_dropped; returns `why`.
+  RoundDrop drop(const Inbound& m, RoundDrop why);
 
   TimewheelNode& node_;
   sim::ClockTime last_round_ = -1;

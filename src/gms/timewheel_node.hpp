@@ -6,10 +6,8 @@
 // through try_propose()/callbacks.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,8 +17,10 @@
 #include "bcast/messages.hpp"
 #include "clocksync/clock_sync.hpp"
 #include "gms/config.hpp"
+#include "gms/election.hpp"
 #include "gms/failure_detector.hpp"
 #include "gms/messages.hpp"
+#include "gms/proposer.hpp"
 #include "gms/rebaseline.hpp"
 #include "gms/round.hpp"
 #include "gms/slots.hpp"
@@ -78,25 +78,6 @@ struct NodeStats {
   std::uint64_t pull_replies = 0;           ///< decisions resent on request
 };
 
-/// Degraded-mode ladder driven by admission-queue occupancy watermarks
-/// (75% and 50% of NodeConfig::max_pending). Inactive (always `normal`)
-/// when max_pending == 0.
-enum class OverloadState : std::uint8_t {
-  normal = 0,
-  backpressured = 1,  ///< above hi watermark: callers should slow down
-  shedding = 2,       ///< at capacity: try_propose() refuses
-};
-
-/// Outcome of try_propose(). On refusal `seq` is meaningless and
-/// `retry_after_us` is a deterministic backoff hint (roughly a group
-/// cycle, jittered per process so a refused team doesn't retry in
-/// lockstep).
-struct ProposeResult {
-  bool accepted = false;
-  ProposalSeq seq = 0;
-  std::uint64_t retry_after_us = 0;
-};
-
 class TimewheelNode final : public net::Handler {
  public:
   /// Minimum spacing between the ring's decisions. A decider holding fresh
@@ -136,7 +117,9 @@ class TimewheelNode final : public net::Handler {
   /// option. With max_pending == 0 every proposal is accepted.
   ProposeResult try_propose(
       std::vector<std::byte> payload, bcast::Order order = bcast::Order::total,
-      bcast::Atomicity atomicity = bcast::Atomicity::weak);
+      bcast::Atomicity atomicity = bcast::Atomicity::weak) {
+    return proposer_.propose(std::move(payload), order, atomicity);
+  }
 
   // Introspection ------------------------------------------------------
   [[nodiscard]] ProcessId self() const { return ep_.self(); }
@@ -182,10 +165,12 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
   /// Current rung of the degraded-mode ladder (always `normal` when
   /// max_pending == 0).
-  [[nodiscard]] OverloadState overload_state() const { return overload_; }
+  [[nodiscard]] OverloadState overload_state() const {
+    return proposer_.overload_state();
+  }
   /// Own proposals in flight: queued-until-member plus
   /// admitted-but-undelivered (the quantity max_pending bounds).
-  [[nodiscard]] std::size_t occupancy() const { return own_inflight_; }
+  [[nodiscard]] std::size_t occupancy() const { return proposer_.occupancy(); }
 
  private:
   // --- clock helpers ----------------------------------------------------
@@ -203,8 +188,6 @@ class TimewheelNode final : public net::Handler {
   /// In one of Figure 2's single-failure states: wrong-suspicion or
   /// one-failure receive/send.
   [[nodiscard]] bool in_single_failure() const;
-  /// Enter the join state with a fresh join dance.
-  void enter_join();
   /// Give up the decider role and the surveillance: no decision is due
   /// and no control message is expected.
   void stand_down();
@@ -219,13 +202,13 @@ class TimewheelNode final : public net::Handler {
   /// index per-member state. Runs before the round gate.
   void check_in_team(std::initializer_list<ProcessId> ids,
                      std::initializer_list<util::ProcessSet> sets) const;
-  void handle_decision(ProcessId from, bcast::Decision d);
+  /// The synchronized time at which the round gate admitted `m`, or
+  /// nullopt when the clock is out of sync or the gate refused it.
+  [[nodiscard]] std::optional<sim::ClockTime> admit(
+      const RoundGate::Inbound& m);
+  void handle_decision(ProcessId from, bcast::Decision d, sim::ClockTime now);
   /// A proposal or proposal_batch datagram (a proposal is a batch of one).
   void handle_proposals(ProcessId from, std::span<const bcast::Proposal> ps);
-  void handle_no_decision(ProcessId from, NoDecision nd);
-  void handle_join(ProcessId from, Join j);
-  void handle_reconfiguration(ProcessId from, Reconfiguration r);
-  void handle_retransmit_request(ProcessId from, bcast::RetransmitRequest rq);
   /// A decision pull from a member whose freshest adopted round is
   /// `round`: answer with a unicast copy of our last decision when that is
   /// fresher.
@@ -247,21 +230,9 @@ class TimewheelNode final : public net::Handler {
 
   // --- slot machinery ---------------------------------------------------
   void arm_slot_timer();
-  void on_own_slot();
   void on_housekeeping();
 
-  // --- join state --------------------------------------------------------
-  void join_slot_duties(sim::ClockTime now, std::int64_t slot);
-  [[nodiscard]] util::ProcessSet current_join_list(std::int64_t slot) const;
-  void send_join(sim::ClockTime now);
-
-  // --- n-failure state ------------------------------------------------
-  void enter_n_failure(sim::ClockTime now);
-  void reconfiguration_slot_duties(sim::ClockTime now, std::int64_t slot);
-  void send_reconfiguration(sim::ClockTime now, bool abstain);
-  [[nodiscard]] util::ProcessSet current_recon_list(std::int64_t slot) const;
-
-  // --- elections / group creation ------------------------------------
+  // --- control messages -------------------------------------------------
   /// Broadcast a control message and keep it for wrong-suspicion resends
   /// and decision pulls.
   void broadcast_control(std::vector<std::byte> bytes);
@@ -271,21 +242,6 @@ class TimewheelNode final : public net::Handler {
   void send_ring(std::vector<std::byte> bytes);
   /// Unicast a copy of last_control_sent_ (handoff copies, pull replies).
   void send_last_control(ProcessId to);
-  void send_no_decision(sim::ClockTime now);
-  /// Our no-decision ring predecessor has spoken (Figure 2): close the
-  /// election if we precede the suspect, else pass a no-decision on and
-  /// watch our successor.
-  void pass_no_decision(sim::ClockTime now);
-  void close_single_failure_election(sim::ClockTime now);
-  void become_decider_wrong_suspicion(sim::ClockTime now);
-  /// Allocate the id for a group created now: strictly greater than gid_,
-  /// unique across concurrent creators (creator id in the low digits).
-  [[nodiscard]] GroupId next_gid(sim::ClockTime now) const;
-  /// Create a new group as decider: repair the oal, install, send the
-  /// first decision (and state transfers to joiners).
-  void create_group(util::ProcessSet members, util::ProcessSet departed,
-                    std::vector<bcast::ProposalId> extra_dpds,
-                    util::ProcessSet joiners, sim::ClockTime now);
 
   // --- decider duties ---------------------------------------------------
   /// Take the role. Fresh work makes the decision prompt: proposals to
@@ -327,35 +283,6 @@ class TimewheelNode final : public net::Handler {
   /// lockstep (derived from self/incarnation/attempt; no RNG, replayable).
   [[nodiscard]] sim::Duration retry_jitter(int attempt) const;
   void run_delivery(sim::ClockTime now);
-  void flush_pending_proposals(sim::ClockTime now);
-  /// Ask for the payloads the adopted oal lists and we lack, each on its
-  /// own clock: first once a timely copy would have arrived, then backing
-  /// off. `hint` (the sender of the decision that listed them) is asked
-  /// first; kNoProcess keeps the current target.
-  void request_missing(ProcessId hint);
-
-  // --- overload protection (cfg_.max_pending > 0) -----------------------
-  /// Re-evaluate the degraded-mode ladder against the current occupancy
-  /// and emit overload_enter/overload_exit traces on transitions.
-  void update_overload();
-  /// Resend last_control_sent_ for a wrong-suspicion episode, rate-limited
-  /// with exponential backoff + jitter so repeated/duplicated no-decision
-  /// messages can't turn the resend into a repair storm.
-  void resend_last_control(sim::ClockTime now);
-
-  // --- proposer-side batching --------------------------------------------
-  /// Stamp an own proposal for sending at `now`, note it in the delivery
-  /// engine and queue it for the next batch.
-  void send_own(bcast::Proposal& p, sim::ClockTime now);
-  /// Flush the batch queue once it is full (at once when max_batch <= 1),
-  /// else arm the flush timer: for now when no proposal datagram left in
-  /// the last kBatchFlushDelay, else for that long after the last one.
-  void schedule_batch_flush();
-  void flush_proposal_batch();
-  /// Ship proposals in max_batch-sized datagrams; `to` == kNoProcess
-  /// broadcasts, anything else unicasts (retransmit answers).
-  void ship_proposals(ProcessId to,
-                      const std::vector<const bcast::Proposal*>& ps);
 
   // ---------------------------------------------------------------------
   net::Endpoint& ep_;
@@ -381,6 +308,12 @@ class TimewheelNode final : public net::Handler {
   /// zombie rehabilitation, forked histories); reads the node like round_.
   friend class Rebaseline;
   Rebaseline rebaseline_{*this};
+  /// Owns the elections and the join protocol, up to each new group.
+  friend class Election;
+  Election election_{*this};
+  /// Owns every proposal payload this member sends or asks for.
+  friend class Proposer;
+  Proposer proposer_{*this};
 
   GcState state_ = GcState::join;
 
@@ -400,87 +333,15 @@ class TimewheelNode final : public net::Handler {
   /// timer is not armed).
   sim::ClockTime decision_due_ = -1;
 
-  // Own proposals.
-  ProposalSeq next_seq_ = 0;
-  /// This incarnation's sequence start — stamped into every proposal as
-  /// its fifo_floor so deciders never wait on the pre-restart gap.
-  ProposalSeq seq_floor_ = 0;
-  std::deque<bcast::Proposal> pending_proposals_;  ///< queued until member
-  /// Own proposals noted in the delivery engine but not yet on the wire,
-  /// awaiting a full batch or the flush timer.
-  std::vector<bcast::ProposalId> batch_queue_;
-  /// Hardware-clock time the last own proposal datagram left (INT64_MIN:
-  /// none yet); the flush timer paces partial batches from it.
-  sim::ClockTime last_batch_sent_ = INT64_MIN;
-
   // Last control message we broadcast (for wrong-suspicion resends and,
   // when it is a decision, for decision pulls).
   std::vector<std::byte> last_control_sent_;
   /// send_ts of the last decision we sent (-1: none this incarnation).
   sim::ClockTime last_decision_sent_ts_ = -1;
-  /// Resend budget for the current wrong-suspicion episode: count and
-  /// timestamp of the last resend (reset when a new episode starts).
-  int suspect_resends_ = 0;
-  sim::ClockTime last_suspect_resend_ = -1;
-
-  // Overload protection (inactive when cfg_.max_pending == 0).
-  OverloadState overload_ = OverloadState::normal;
-  /// Own proposals in flight; incremented at admission, decremented when
-  /// an own proposal comes back delivered, resynced from ground truth
-  /// (pending queue + delivery engine) every housekeeping tick so purges
-  /// and undeliverable marks can't make it drift.
-  std::size_t own_inflight_ = 0;
-  /// Loss repair, per payload the adopted oal lists, we lack and asked
-  /// for: when to ask again (synchronized time) and how often we asked.
-  struct Repair {
-    sim::ClockTime due = 0;
-    int asks = 0;
-  };
-  std::map<bcast::ProposalId, Repair> repairs_;
-  /// Synchronized time retransmit_timer_ is armed for (meaningless while
-  /// the timer is not armed).
-  sim::ClockTime repair_due_ = -1;
-
-  // Join machinery.
-  struct JoinInfo {
-    util::ProcessSet list;
-    sim::ClockTime ts = -1;
-    sim::ClockTime last_decision_ts = -1;
-    GroupId gid = 0;  ///< sender's last installed group this incarnation
-  };
-  std::vector<JoinInfo> join_infos_;
-
-  // Reconfiguration machinery.
-  struct ReconInfo {
-    Reconfiguration msg;
-    bool valid = false;
-  };
-  std::vector<ReconInfo> recon_infos_;
-  sim::ClockTime my_recon_ts_ = -1;      ///< ts of last non-abstaining recon
-  util::ProcessSet my_recon_list_;       ///< list sent with it
-  sim::ClockTime abstain_until_ = -1;    ///< one-election-per-cycle rule
-  bool sent_nd_this_episode_ = false;
-
-  // Views/dpds collected from no-decision messages (for oal repair).
-  struct ElectionInfo {
-    bcast::Oal view;
-    std::vector<bcast::ProposalId> dpd;
-    sim::ClockTime ts = -1;
-    ProcessId suspect = kNoProcess;
-  };
-  std::vector<ElectionInfo> nd_infos_;
-
-  // Delayed switch to join (n-failure exclusion, paper §4.2): the new
-  // group's members whose decision we still await; non-empty exactly
-  // while an excluded n-failure member waits.
-  util::ProcessSet exit_decisions_needed_;
 
   /// Durable incarnation (stable store present). The durable view floor
   /// (refusing stale re-baseline donors) lives in round_.
   std::uint64_t incarnation_ = 0;
-
-  // Watchdog for the join fallback (see on_housekeeping).
-  sim::ClockTime n_failure_since_ = -1;
 
   bool ever_started_ = false;
   NodeStats stats_;
@@ -494,9 +355,6 @@ class TimewheelNode final : public net::Handler {
   net::TimerId decision_timer_ = net::kNoTimer;
   net::TimerId delivery_timer_ = net::kNoTimer;
   net::TimerId housekeeping_timer_ = net::kNoTimer;
-  net::TimerId retransmit_timer_ = net::kNoTimer;
-  net::TimerId batch_timer_ = net::kNoTimer;
-  ProcessId retransmit_hint_ = kNoProcess;
 };
 
 }  // namespace tw::gms

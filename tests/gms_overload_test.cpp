@@ -88,6 +88,33 @@ TEST(GmsOverload, AdmissionRefusesAtCapWithRetryHint) {
         << "p" << p << " delivered a refused proposal";
   }
   EXPECT_TRUE(h.check_all_invariants().empty());
+
+  // Shed again, then crash: the recovered incarnation starts with an empty
+  // admission queue, so it reads normal and admits at once.
+  for (std::uint64_t tag = 200; tag < 208; ++tag)
+    ASSERT_TRUE(h.try_propose(0, tag).accepted);
+  ASSERT_EQ(h.node(0).overload_state(), OverloadState::shedding);
+  const std::uint64_t incarnation = h.node(0).incarnation();
+  h.faults().crash_at(h.now(), 0).recover_at(h.now() + sim::msec(100), 0);
+  const sim::SimTime restart_deadline = h.now() + sim::sec(1);
+  while (h.node(0).incarnation() == incarnation && h.now() < restart_deadline)
+    h.run_for(sim::msec(1));
+  ASSERT_NE(h.node(0).incarnation(), incarnation) << "p0 never recovered";
+  EXPECT_EQ(h.node(0).overload_state(), OverloadState::normal);
+  EXPECT_EQ(h.node(0).occupancy(), 0u);
+  EXPECT_TRUE(h.try_propose(0, 300).accepted);
+
+  ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(3),
+                                h.now() + sim::sec(20)));
+  h.run_for(sim::sec(5));
+  for (ProcessId p = 0; p < 3; ++p) {
+    std::vector<std::uint64_t> tags;
+    for (const auto& rec : h.delivered(p))
+      tags.push_back(SimHarness::payload_tag(rec.payload));
+    EXPECT_EQ(std::count(tags.begin(), tags.end(), 300u), 1) << "p" << p;
+  }
+  EXPECT_EQ(h.node(0).overload_state(), OverloadState::normal);
+  EXPECT_TRUE(h.check_all_invariants().empty());
 }
 
 TEST(GmsOverload, WatermarkLadderHasHysteresisAndTraceEvents) {
