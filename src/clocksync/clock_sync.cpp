@@ -63,7 +63,7 @@ void ClockSync::run_round() {
   if (auto* rec = ep_.obs()) {
     int fresh = 0;
     for (ProcessId q = 0; q < readings_.size(); ++q)
-      if (q != ep_.self() && readings_[q].valid) ++fresh;
+      if (q != ep_.self() && readings_[q].fresh) ++fresh;
     rec->emit(obs::EvKind::clock_round, synchronized_ ? 1 : 0,
               static_cast<std::uint64_t>(fresh),
               static_cast<std::uint64_t>(median_offset_));
@@ -99,11 +99,8 @@ void ClockSync::on_datagram(ProcessId from, net::MsgKind kind,
         // reading error is unbounded. Discard.
         return;
       }
-      Reading& r = readings_.at(from);
-      r.offset = t2 + rtt / 2 - t3;
-      r.error = rtt / 2 - cfg_.min_delay;
-      r.expires_hw = t3 + cfg_.lease;
-      r.valid = true;
+      readings_.at(from) = Reading{t2 + rtt / 2 - t3,
+                                   rtt / 2 - cfg_.min_delay, t3, true};
       refresh(t3);
       break;
     }
@@ -112,19 +109,32 @@ void ClockSync::on_datagram(ProcessId from, net::MsgKind kind,
   }
 }
 
+bool ClockSync::bounded(const Reading& r, sim::ClockTime hw) const {
+  if (r.fresh) return true;
+  if (r.taken_hw < 0) return false;
+  // The two hardware clocks drift apart by at most 2ρ per unit of time
+  // since the reading was taken.
+  const auto drift = static_cast<sim::Duration>(std::ceil(
+      2.0 * cfg_.rho * static_cast<double>(hw - r.taken_hw)));
+  return r.error + drift <= cfg_.epsilon() / 2;
+}
+
 void ClockSync::refresh(sim::ClockTime hw) {
-  // Expire stale readings.
-  for (auto& r : readings_)
-    if (r.valid && r.expires_hw < hw) r.valid = false;
-
+  // Fail-awareness counts unexpired readings only; the clock's value is the
+  // median over every reading whose error is still bounded, so a member
+  // whose reading expires keeps its place in every survivor's median.
+  int fresh = 1;  // own clock, error 0
   std::vector<sim::Duration> offsets;
-  offsets.push_back(0);  // reading of own clock, error 0
-  for (ProcessId q = 0; q < readings_.size(); ++q)
-    if (q != ep_.self() && readings_[q].valid)
-      offsets.push_back(readings_[q].offset);
+  offsets.push_back(0);
+  for (ProcessId q = 0; q < readings_.size(); ++q) {
+    if (q == ep_.self()) continue;
+    Reading& r = readings_[q];
+    if (r.fresh && hw - r.taken_hw > cfg_.lease) r.fresh = false;
+    if (r.fresh) ++fresh;
+    if (bounded(r, hw)) offsets.push_back(r.offset);
+  }
 
-  const bool have_majority =
-      2 * static_cast<int>(offsets.size()) > ep_.team_size();
+  const bool have_majority = 2 * fresh > ep_.team_size();
   const bool was = synchronized_;
   synchronized_ = have_majority;
   if (synchronized_) {
@@ -175,7 +185,7 @@ int ClockSync::fresh_readings() {
   refresh(ep_.hw_now());
   int n = 0;
   for (ProcessId q = 0; q < readings_.size(); ++q)
-    if (q != ep_.self() && readings_[q].valid) ++n;
+    if (q != ep_.self() && readings_[q].fresh) ++n;
   return n;
 }
 

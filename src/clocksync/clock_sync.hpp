@@ -14,13 +14,23 @@
 // REJECTED — this is the fail-aware filter that makes remote clock reading
 // safe in a timed asynchronous system. Accepted readings give remote-clock
 // offsets with error ≤ rtt/2 − min_delay (+ drift slop). A process holding
-// fresh (unexpired) readings from a majority of the team sets its
-// synchronized clock to hardware clock + median offset; otherwise the clock
-// is out-of-date and now() returns nullopt.
+// fresh (unexpired) readings from a majority of the team is up to date;
+// otherwise the clock is out-of-date and now() returns nullopt.
 //
-// The median over a majority makes any two up-to-date clocks agree within
+// An up-to-date clock reads hardware clock + the median offset over its own
+// clock and every peer read this incarnation whose reading is still
+// bounded: fresh, or expired with its recorded error plus the drift since,
+// 2ρ·age, within ε/2 = (δ − min_delay) + ρ·lease. A typical reading
+// (error well under δ) stays bounded for minutes. So when a crashed member's
+// reading expires, at a different instant on each survivor, every survivor
+// keeps its offset in the median instead of jumping to the next clock up
+// and back when it returns: the survivors take the median of the same
+// clocks through the outage and the return. Freshness alone still decides
+// fail-awareness; a restart begins with no readings.
+//
+// The median makes any two up-to-date clocks agree within
 // ε = 2·(max reading error) + 2ρ·lease: both medians are sandwiched between
-// correct remote clocks read with bounded error.
+// correct remote clocks read with error at most ε/2.
 #pragma once
 
 #include <functional>
@@ -81,12 +91,15 @@ class ClockSync {
 
  private:
   struct Reading {
-    sim::Duration offset = 0;         ///< remote − local, estimated
-    sim::Duration error = 0;          ///< reading error bound
-    sim::ClockTime expires_hw = -1;   ///< hw time the reading goes stale
-    bool valid = false;
+    sim::Duration offset = 0;        ///< remote − local, estimated
+    sim::Duration error = 0;         ///< reading error bound when taken
+    sim::ClockTime taken_hw = -1;    ///< hw time taken; -1: none yet
+    bool fresh = false;              ///< cleared for good once a lease old
   };
 
+  /// Fresh, or its error plus the drift since still within ε/2: its offset
+  /// counts towards the clock's value.
+  [[nodiscard]] bool bounded(const Reading& r, sim::ClockTime hw) const;
   void run_round();
   void refresh(sim::ClockTime hw);
   void send_request();

@@ -16,6 +16,7 @@ void Rebaseline::reset(bool recovered) {
   request_attempts_ = rejoin_attempts_ = 0;
   last_rejoin_ts_ = -1;
   rejoin_target_ = kNoProcess;
+  transferred_gid_ = 0;
 }
 
 bool Rebaseline::hold(const bcast::Proposal& p, Ordinal ordinal) {
@@ -72,6 +73,10 @@ void Rebaseline::diverged(const bcast::DeliveryEngine::AdoptOutcome& outcome,
 
 void Rebaseline::admitted(sim::ClockTime now, bool transfer_coming,
                           bool joining) {
+  // The integrating decider sends its transfer right after the decision,
+  // but each datagram takes its own delay: a transfer for this view or a
+  // later one may have landed first and re-baselined us already.
+  if (transferred_gid_ >= node_.gid_) transfer_coming = false;
   // Joining a pre-existing group: hold application deliveries until the
   // state transfer has installed the base state (or a timeout passes — the
   // integrating decider may have crashed right after deciding). A member
@@ -214,6 +219,7 @@ void Rebaseline::handle_transfer(ProcessId from, StateTransfer st) {
       node_.admit({RoundMsg::state_transfer, from, st.send_ts, st.gid});
   if (!now) return;
   ++node_.stats_.state_transfers_received;
+  transferred_gid_ = std::max(transferred_gid_, st.gid);
   TW_DEBUG("p" << node_.self() << " state transfer: " << st.proposals.size()
                << " proposals, " << st.marks.ordered_below.size()
                << " ordered-below marks");

@@ -70,8 +70,9 @@ class Rebaseline {
   void diverged(const bcast::DeliveryEngine::AdoptOutcome& outcome,
                 sim::ClockTime now, ProcessId donor, bool joined);
   /// A view naming us was installed and we were not a member before.
-  /// `transfer_coming`: the decision integrates us as a joiner; `joining`:
-  /// we are in the join state.
+  /// `transfer_coming`: the decision integrates us as a joiner (a transfer
+  /// for this view that landed first counts as received); `joining`: we
+  /// are in the join state.
   void admitted(sim::ClockTime now, bool transfer_coming, bool joining);
   /// Zombie rehabilitation, called every housekeeping tick in the join
   /// state: ask a rotating member for a state transfer while we are
@@ -118,6 +119,9 @@ class Rebaseline {
   std::vector<std::pair<bcast::Proposal, Ordinal>> buffered_;
   net::TimerId wait_timer_ = net::kNoTimer;
   int request_attempts_ = 0;
+  /// Group of the freshest state transfer applied this incarnation (0:
+  /// none).
+  GroupId transferred_gid_ = 0;
   /// Zombie solicitations: last send time, target, and how many went
   /// unanswered in a row (drives the backoff).
   sim::ClockTime last_rejoin_ts_ = -1;

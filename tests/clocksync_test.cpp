@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/sim_transport.hpp"
 
@@ -130,6 +133,38 @@ TEST(ClockSync, MonotoneWhileSynchronized) {
     ASSERT_TRUE(v.has_value());
     EXPECT_GE(*v, last);
     last = *v;
+  }
+}
+
+TEST(ClockSync, SurvivorsStayWithinEpsilonAcrossACrashAndReturn) {
+  // The crashed member's reading expires at a different instant on each
+  // survivor. Its hardware clock sat lowest, so a survivor that dropped it
+  // from the median would jump to the next clock up, ahead of the others,
+  // and be held there by the monotonic clamp when it returns.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rig rig(5, seed, 1e-5, sim::msec(500));
+    auto& procs = rig.cluster.processes();
+    ProcessId victim = 0;
+    for (ProcessId p = 1; p < 5; ++p)
+      if (procs.clock(p).offset() < procs.clock(victim).offset()) victim = p;
+    std::vector<ProcessId> survivors;
+    for (ProcessId p = 0; p < 5; ++p)
+      if (p != victim) survivors.push_back(p);
+    rig.cluster.run_until(sim::sec(2));
+    sim::Duration worst = 0;
+    const auto sample_for = [&](sim::Duration d) {
+      const sim::SimTime end = rig.cluster.now() + d;
+      while (rig.cluster.now() < end) {
+        rig.cluster.run_until(rig.cluster.now() + sim::msec(1));
+        worst = std::max(worst, rig.max_deviation(survivors));
+      }
+    };
+    procs.crash(victim);
+    sample_for(sim::sec(3));
+    procs.recover(victim);
+    sample_for(sim::sec(3));
+    EXPECT_LE(worst, rig.nodes[0]->cs.epsilon());
   }
 }
 

@@ -211,7 +211,14 @@ TEST(EventLoop, TimerChurnThroughTheWheel) {
       loop.cancel_timer(ids[static_cast<size_t>(i)]);
       ++cancelled;
     }
-    loop.run_for(sim::msec(25));
+    // Poll until this round's survivors have fired (at most 5 s): one pass
+    // fires at most kMaxTimerDispatchPerPoll of them, so a fixed stretch of
+    // wall time leaves survivors due when the test process is descheduled,
+    // and they pile into the next round's live set.
+    const int round_fired = fired + kBatch / 2;
+    const std::int64_t give_up = EventLoop::mono_now_us() + 5'000'000;
+    while (fired < round_fired && EventLoop::mono_now_us() < give_up)
+      loop.poll_once(sim::msec(10));
   }
   EXPECT_EQ(fired + cancelled, 10 * kBatch);
   EXPECT_EQ(cancelled, 10 * kBatch / 2);

@@ -3,6 +3,9 @@
 // (paper §4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "gms/sim_harness.hpp"
 #include "net/msg_kind.hpp"
 
@@ -254,6 +257,45 @@ TEST(GmsFailure, CrashedMemberRejoinsAfterRecovery) {
       h.run_until_group(util::ProcessSet::full(5), h.now() + sim::sec(20)))
       << h.cluster().trace_log().dump();
   EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(GmsFailure, SurvivorClocksStayWithinEpsilonAcrossACrashAndReturn) {
+  // The node-level twin of the clock-sync test of the same name: while the
+  // member with the lowest hardware clock is down, and after it returns,
+  // the survivors' synchronized clocks stay within ε of each other.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimHarness h(cfg_n(5, seed));
+    form_group(h);
+    auto& procs = h.cluster().processes();
+    ProcessId victim = 0;
+    for (ProcessId p = 1; p < 5; ++p)
+      if (procs.clock(p).offset() < procs.clock(victim).offset()) victim = p;
+    const auto deviation = [&]() -> sim::Duration {
+      sim::ClockTime lo = INT64_MAX, hi = INT64_MIN;
+      for (ProcessId p = 0; p < 5; ++p) {
+        if (p == victim) continue;
+        const auto v = h.node(p).clock().now();
+        if (!v) return INT64_MAX;
+        lo = std::min(lo, *v);
+        hi = std::max(hi, *v);
+      }
+      return hi - lo;
+    };
+    sim::Duration worst = 0;
+    const auto sample_for = [&](sim::Duration d) {
+      const sim::SimTime end = h.now() + d;
+      while (h.now() < end) {
+        h.run_for(sim::msec(1));
+        worst = std::max(worst, deviation());
+      }
+    };
+    procs.crash(victim);
+    sample_for(sim::sec(3));
+    procs.recover(victim);
+    sample_for(sim::sec(3));
+    EXPECT_LE(worst, h.node(0).clock().epsilon());
+  }
 }
 
 TEST(GmsFailure, RejoinerReceivesStateTransfer) {

@@ -3,6 +3,8 @@
 // oracle-checked crash/recover + store-fault torture plans.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gms/sim_harness.hpp"
 #include "net/msg_kind.hpp"
 #include "torture/fault_plan.hpp"
@@ -290,6 +292,34 @@ TEST(GmsRecovery, RecoveredJoinerStarvedOfStateTransfersGivesUp) {
   ASSERT_EQ(rehab.size(), 1u);
   EXPECT_EQ(rehab[0].arg, 2u);
   EXPECT_EQ(h.node(1).stats().rehabilitations, 1u);
+}
+
+TEST(GmsRecovery, AStateTransferAheadOfItsDecisionIsTheJoinersOnlyOne) {
+  // The integrating decider sends the decision that admits a joiner, then
+  // its state transfer, and each datagram takes its own delay. With every
+  // decision to the recovered p4 5 ms late the transfer lands first; it
+  // already re-baselines p4, so admission must not wait for a second one.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimHarness h(cfg_n(5, seed));
+    form_group(h);
+    h.faults().crash_at(h.now() + sim::msec(10), 4);
+    util::ProcessSet without4 = util::ProcessSet::full(5);
+    without4.erase(4);
+    ASSERT_TRUE(h.run_until_group(without4, h.now() + sim::sec(10)));
+    for (ProcessId q : without4)
+      h.cluster().network().arm_delay(
+          q, net::kind_byte(net::MsgKind::decision), util::ProcessSet{4},
+          100000, sim::msec(5));
+    h.cluster().processes().recover(4);
+    ASSERT_TRUE(
+        h.run_until_group(util::ProcessSet::full(5), h.now() + sim::sec(10)));
+    ASSERT_TRUE(run_until_clean(h, 4, 2, h.now() + sim::sec(10)));
+    h.run_for(sim::sec(1));
+    EXPECT_EQ(h.node(4).stats().state_transfers_received, 1u);
+    EXPECT_TRUE(events_of(h, 4, obs::EvKind::rejoin_retry).empty())
+        << "the joiner asked for a second transfer";
+  }
 }
 
 TEST(GmsRecovery, HandWrittenCrashRecoverPlanPassesOracle) {
